@@ -8,10 +8,10 @@ from .structures import (
 )
 from .calculus import (
     Derivation, RuleInstance, Step, check_derivation, derivation_length,
-    enumerate_instances,
+    enumerate_instances, is_right_context,
 )
 from .standardize import (
-    commute_once, is_right_context, is_standard, seq_number, standardize,
+    commute_once, is_standard, seq_number, standardize,
 )
 from .ccsr import (
     ActionSeq, LtsNode, Process, actions_normalize, check_lts_derivation,

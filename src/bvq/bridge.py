@@ -3,9 +3,11 @@ and the environment/action maps.
 
 The process map is the usual isomorphism: the inactive process is the
 unit, a prefix is a Seq, parallel composition is Par, restriction is the
-quantifier.  An environment structure is a canonical list of labels,
-possibly under quantifiers that scope over suffixes of the list; it
-records the messages exchanged with the environment.  Because an atom
+quantifier.  The map itself lives in ``ccsr``, which decides process
+congruence through it, and is re-exported here.  An environment
+structure is a canonical list of labels, possibly under quantifiers that
+scope over suffixes of the list; it records the messages exchanged with
+the environment.  Because an atom
 only ever annihilates against its complement, the environment structure
 for an observable action carries the complementary label: turning an
 action sequence into an environment structure complements each label,
@@ -21,55 +23,13 @@ from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, DerivationError, check_derivation,
 )
 from .ccsr import (
-    TAU, Action, ActionSeq, PNu, PPar, PPrefix, Process, PZero, SILENT, ZERO,
-    actions_normalize,
+    TAU, Action, ActionSeq, BridgeError, SILENT, actions_normalize,
+    from_structure, to_structure,
 )
 from .structures import (
-    Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, Structure,
-    canonicalize, is_tensor_free, mk_seq, names,
+    Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, canonicalize,
+    is_tensor_free, mk_seq, names,
 )
-
-
-class BridgeError(ValueError):
-    pass
-
-
-def to_structure(e: Process) -> Structure:
-    """The isomorphic image of a process; returned raw, not canonical."""
-    if isinstance(e, PZero):
-        return ONE
-    if isinstance(e, PPrefix):
-        return Seq((Atom(e.label), to_structure(e.body)))
-    if isinstance(e, PPar):
-        return Par((to_structure(e.left), to_structure(e.right)))
-    if isinstance(e, PNu):
-        return Sdq(e.name, to_structure(e.body))
-    raise TypeError(f"not a process: {e!r}")
-
-
-def from_structure(s: Structure) -> Process:
-    """Inverse of the process map on process structures."""
-    if isinstance(s, One):
-        return ZERO
-    if isinstance(s, Atom):
-        return PPrefix(s.name, ZERO)
-    if isinstance(s, Seq):
-        head = s.parts[0]
-        if not isinstance(head, Atom):
-            raise BridgeError("a Seq in a process structure starts with a label")
-        return PPrefix(head.name, from_structure(mk_seq(s.parts[1:])))
-    if isinstance(s, Par):
-        out = from_structure(s.parts[-1])
-        for p in reversed(s.parts[:-1]):
-            out = PPar(from_structure(p), out)
-        return out
-    if isinstance(s, Sdq):
-        return PNu(s.binder, from_structure(s.body))
-    if isinstance(s, CoPar):
-        raise BridgeError("CoPar does not occur in process structures")
-    if isinstance(s, Not):
-        raise BridgeError("negation does not occur in process structures")
-    raise TypeError(f"not a structure: {s!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -294,13 +294,16 @@ def extend(d: Derivation, inst: RuleInstance) -> Derivation:
 # derivation checking
 # ---------------------------------------------------------------------------
 
-def _is_right_path(host: Structure, path: Context) -> bool:
+def is_right_context(host: Structure, path: Context) -> bool:
+    """True when the hole at ``path`` never sits right of non-unit Seq
+    material and never under CoPar or negation."""
     cur = host
     for op, idx in path:
         if op in ("copar", "not"):
             return False
         if op == "seq":
-            assert isinstance(cur, Seq)
+            if not isinstance(cur, Seq):
+                raise StructureError("path does not match the host")
             if any(canonical_key(p) != "1" for p in cur.parts[:idx]):
                 return False
         cur = subterm_at(cur, ((op, idx),))
@@ -316,7 +319,7 @@ def _schema_ok(cur: Structure, inst: RuleInstance) -> bool:
         a, b = cons
         if a.name != b.name.complement() or canonical_key(repl) != "1":
             return False
-        if inst.rule == AI_DOWN_LEFT and not _is_right_path(cur, inst.path):
+        if inst.rule == AI_DOWN_LEFT and not is_right_context(cur, inst.path):
             return False
         return True
     if inst.rule == Q_DOWN:

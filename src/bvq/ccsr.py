@@ -10,15 +10,20 @@ merge rule off so the contrast can be observed.
 
 The transition relation is explored over congruence classes: states are
 canonical forms, and the canonical serialization is the quotient key.
+Both come from the process's image under the process map
+(``to_structure``), so processes share the one canonicalizer of
+``structures``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .structures import Name
+from .structures import (
+    _IDENT_START, Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, Structure,
+    _Scanner, canonical_key, canonicalize, mk_seq,
+)
 
 TAU = None  # the silent action; an ActionSeq is a tuple over Name | TAU
 Action = Optional[Name]
@@ -63,43 +68,10 @@ ZERO = PZero()
 # parsing / printing
 # ---------------------------------------------------------------------------
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz")
-_IDENT_CONT = _IDENT_START | set("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 _RESERVED = {"nu", "tau"}
 
 
-class _PScan:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, msg: str):
-        raise ProcessError(f"{msg} at position {self.pos}")
-
-    def ident(self) -> str:
-        self.skip()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            self.error("expected a name")
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-
-def _parse_term(sc: _PScan) -> Process:
+def _parse_term(sc: _Scanner) -> Process:
     ch = sc.peek()
     if ch == "0":
         sc.pos += 1
@@ -132,7 +104,7 @@ def _parse_term(sc: _PScan) -> Process:
     sc.error(f"unexpected character {ch!r}")
 
 
-def _parse_par(sc: _PScan) -> Process:
+def _parse_par(sc: _Scanner) -> Process:
     p = _parse_term(sc)
     while sc.peek() == "|":
         sc.pos += 1
@@ -141,9 +113,9 @@ def _parse_par(sc: _PScan) -> Process:
 
 
 def parse_process(text: str) -> Process:
-    sc = _PScan(text)
+    sc = _Scanner(text, ProcessError)
     p = _parse_par(sc)
-    sc.skip()
+    sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")
     return p
@@ -241,101 +213,58 @@ def par_of(items: list[Process]) -> Process:
     return out
 
 
-_MAX_NU_PERMS = 6
+class BridgeError(ValueError):
+    pass
 
 
-def _proc_simplify(p: Process) -> tuple[Process, frozenset[str], int]:
-    """Drop inactive parallel components and vacuous restrictions, flatten
-    parallel nesting; returns the free name bases and restriction count."""
-    if isinstance(p, PZero):
-        return ZERO, frozenset(), 0
-    if isinstance(p, PPrefix):
-        body, frees, count = _proc_simplify(p.body)
-        return PPrefix(p.label, body), frees | {p.label.base}, count
-    if isinstance(p, PPar):
-        comps: list[Process] = []
-        frees: set[str] = set()
-        count = 0
-        for q in _par_list(p):
-            sq, f, c = _proc_simplify(q)
-            frees |= f
-            count += c
-            if isinstance(sq, PZero):
-                continue
-            comps.extend(_par_list(sq))
-        return par_of(comps), frozenset(frees), count
-    if isinstance(p, PNu):
-        body, frees, count = _proc_simplify(p.body)
-        if p.name.base not in frees:
-            return body, frees, count
-        return PNu(p.name, body), frees - {p.name.base}, count + 1
-    raise TypeError(f"not a process: {p!r}")
+def to_structure(e: Process) -> Structure:
+    """The isomorphic image of a process; returned raw, not canonical."""
+    if isinstance(e, PZero):
+        return ONE
+    if isinstance(e, PPrefix):
+        return Seq((Atom(e.label), to_structure(e.body)))
+    if isinstance(e, PPar):
+        return Par((to_structure(e.left), to_structure(e.right)))
+    if isinstance(e, PNu):
+        return Sdq(e.name, to_structure(e.body))
+    raise TypeError(f"not a process: {e!r}")
 
 
-def _proc_canon(p: Process, scope: tuple[tuple[str, str], ...], depth: int,
-                cands: list[str]) -> tuple[str, Process]:
-    """Canonical key and renamed process; assumes simplified input."""
-    if isinstance(p, PZero):
-        return "0", ZERO
-    if isinstance(p, PPrefix):
-        nm = p.label
-        sign = "+" if nm.positive else "-"
-        lk = f"Af{nm.base}{sign}"
-        out_name = nm
-        for i in range(len(scope) - 1, -1, -1):
-            if scope[i][0] == nm.base:
-                lk = f"Ab{len(scope) - 1 - i}{sign}"
-                out_name = Name(scope[i][1], nm.positive)
-                break
-        bk, bout = _proc_canon(p.body, scope, depth, cands)
-        return f"S<{lk};{bk}>", PPrefix(out_name, bout)
-    if isinstance(p, PPar):
-        pairs = [_proc_canon(q, scope, depth, cands) for q in _par_list(p)]
-        pairs.sort(key=lambda kt: kt[0])
-        key = "P[" + ";".join(k for k, _ in pairs) + "]"
-        return key, par_of([t for _, t in pairs])
-    if isinstance(p, PNu):
-        chain: list[str] = []
-        body: Process = p
-        while isinstance(body, PNu):
-            chain.append(body.name.base)
-            body = body.body
-        k = len(chain)
-        orders = permutations(chain) if 1 < k <= _MAX_NU_PERMS \
-            else iter([tuple(chain)])
-        best: Optional[tuple[str, Process]] = None
-        for order in orders:
-            inner = scope + tuple((b, cands[depth + i]) for i, b in enumerate(order))
-            got = _proc_canon(body, inner, depth + k, cands)
-            if best is None or got[0] < best[0]:
-                best = got
-        assert best is not None
-        out: Process = best[1]
-        for i in range(k - 1, -1, -1):
-            out = PNu(Name(cands[depth + i]), out)
-        return f"Q{k}({best[0]})", out
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _binder_candidates(frees: frozenset[str], count: int) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while len(out) < count:
-        q, r = divmod(i, 26)
-        cand = chr(ord("a") + r) + (str(q) if q else "")
-        i += 1
-        if cand not in frees:
-            out.append(cand)
-    return out
+def from_structure(s: Structure) -> Process:
+    """Inverse of the process map on process structures."""
+    if isinstance(s, One):
+        return ZERO
+    if isinstance(s, Atom):
+        return PPrefix(s.name, ZERO)
+    if isinstance(s, Seq):
+        head = s.parts[0]
+        if not isinstance(head, Atom):
+            raise BridgeError("a Seq in a process structure starts with a label")
+        return PPrefix(head.name, from_structure(mk_seq(s.parts[1:])))
+    if isinstance(s, Par):
+        return par_of([from_structure(p) for p in s.parts])
+    if isinstance(s, Sdq):
+        return PNu(s.binder, from_structure(s.body))
+    if isinstance(s, CoPar):
+        raise BridgeError("CoPar does not occur in process structures")
+    if isinstance(s, Not):
+        raise BridgeError("negation does not occur in process structures")
+    raise TypeError(f"not a structure: {s!r}")
 
 
 def _proc_canonical(p: Process) -> tuple[str, Process]:
+    """Congruence is decided on the structure image: the key is the
+    image's canonical key and the canonical process reads back the
+    image's canonical form, so Par components follow structure keys."""
     hit = getattr(p, "_cc", None)
     if hit is not None:
         return hit
-    core, frees, count = _proc_simplify(p)
-    pair = _proc_canon(core, (), 0, _binder_candidates(frees, count))
+    image = to_structure(p)
+    out = from_structure(canonicalize(image))
+    pair = (canonical_key(image), out)
     object.__setattr__(p, "_cc", pair)
+    if out is not p:
+        object.__setattr__(out, "_cc", pair)
     return pair
 
 
@@ -501,16 +430,18 @@ def lts_steps(e: Process, milner_mode: bool = False
     return out
 
 
-def enumerate_reachable(e: Process, depth: int, milner_mode: bool = False,
-                        max_states: int = 100_000
-                        ) -> list[tuple[Process, ActionSeq, LtsNode]]:
-    """Everything reachable within ``depth`` composed steps, with the
-    normalized action sequence and a checking witness for each."""
+def _bfs(e: Process, depth: int, milner_mode: bool
+         ) -> Iterator[tuple[tuple[str, str], tuple[Process, ActionSeq, LtsNode]]]:
+    """Breadth-first search over (congruence class, normalized action
+    sequence) pairs within ``depth`` composed steps.  Yields each pair's
+    key on first reaching it, with the state, the sequence and a checking
+    witness; the start state comes first."""
     e0 = canonical_process(e)
     start = (e0, SILENT, refl_node(e0))
-    frontier: list[tuple[Process, ActionSeq, LtsNode]] = [start]
-    seen = {(process_key(e0), print_actions(SILENT))}
-    out = [start]
+    key0 = (process_key(e0), print_actions(SILENT))
+    yield key0, start
+    frontier = [start]
+    seen = {key0}
     for _ in range(depth):
         nxt: list[tuple[Process, ActionSeq, LtsNode]] = []
         for state, labels, node in frontier:
@@ -520,16 +451,26 @@ def enumerate_reachable(e: Process, depth: int, milner_mode: bool = False,
                 if key in seen:
                     continue
                 seen.add(key)
-                if len(seen) > max_states:
-                    raise ProcessError("state space exceeded the exploration cap")
                 witness = step if node.rule == RULE_REFL and labels == SILENT \
                     else tran_node(node, step)
                 entry = (succ, seq, witness)
-                out.append(entry)
+                yield key, entry
                 nxt.append(entry)
         frontier = nxt
         if not frontier:
             break
+
+
+def enumerate_reachable(e: Process, depth: int, milner_mode: bool = False,
+                        max_states: int = 100_000
+                        ) -> list[tuple[Process, ActionSeq, LtsNode]]:
+    """Everything reachable within ``depth`` composed steps, with the
+    normalized action sequence and a checking witness for each."""
+    out = []
+    for _, entry in _bfs(e, depth, milner_mode):
+        out.append(entry)
+        if len(out) > max_states:
+            raise ProcessError("state space exceeded the exploration cap")
     return out
 
 
@@ -537,30 +478,10 @@ def lts_reachable(e: Process, f: Process, alpha: ActionSeq, depth: int,
                   milner_mode: bool = False) -> Optional[LtsNode]:
     """Breadth-first reachability over congruence classes; returns a
     checking derivation tree or None."""
-    want_f = process_key(f)
-    want_a = print_actions(actions_normalize(alpha))
-    e0 = canonical_process(e)
-    if process_key(e0) == want_f and print_actions(SILENT) == want_a:
-        return refl_node(e0, canonical_process(f))
-    frontier: list[tuple[Process, ActionSeq, LtsNode]] = [(e0, SILENT, refl_node(e0))]
-    seen = {(process_key(e0), print_actions(SILENT))}
-    for _ in range(depth):
-        nxt = []
-        for state, labels, node in frontier:
-            for succ, lbl, step in lts_steps(state, milner_mode)[1:]:
-                seq = actions_normalize(labels + lbl)
-                key = (process_key(succ), print_actions(seq))
-                if key in seen:
-                    continue
-                seen.add(key)
-                witness = step if node.rule == RULE_REFL and labels == SILENT \
-                    else tran_node(node, step)
-                if key == (want_f, want_a):
-                    return witness
-                nxt.append((succ, seq, witness))
-        frontier = nxt
-        if not frontier:
-            break
+    want = (process_key(f), print_actions(actions_normalize(alpha)))
+    for key, (_, _, witness) in _bfs(e, depth, milner_mode):
+        if key == want:
+            return witness
     return None
 
 

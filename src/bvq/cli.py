@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success (proved / congruent / valid), 1 for a negative
 result (not found / not congruent / invalid), 2 for usage or parse
-errors.  Output is deterministic for fixed inputs and flags; timing
+errors and for input nested too deeply to process.  Output is deterministic for fixed inputs and flags; timing
 statistics appear only under ``--timings``.
 """
 
@@ -342,6 +342,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError, SystemExit2) as e:
         print(f"{PROG}: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"{PROG}: input nests too deeply", file=sys.stderr)
         return 2
 
 

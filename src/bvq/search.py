@@ -25,19 +25,16 @@ from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation,
-    RuleInstance, Step, apply_instance, check_derivation,
+    RuleInstance, Step, _remove_children, apply_instance, check_derivation,
     enumerate_instances, extend, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
     RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, canonical_process,
-    chain_nodes, check_lts_derivation, is_simple_process, process_congruent,
-    refl_node, tran_node,
+    chain_nodes, check_lts_derivation, from_structure, is_simple_process,
+    process_congruent, refl_node, tran_node, to_structure,
 )
-from .bridge import (
-    actions_to_env, classify_structure, env_to_actions, from_structure,
-    to_structure,
-)
+from .bridge import actions_to_env, classify_structure, env_to_actions
 from .standardize import is_standard, seq_number
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
@@ -353,10 +350,9 @@ def split(proof: Derivation, shape: str, parts: tuple[Structure, ...],
     raise SearchError(f"unknown split shape {shape!r}")
 
 
-def _replay_recipe(conclusion: Structure, recipe: list[tuple[str, str]]
-                   ) -> Derivation:
-    """Replay a list of (rule, resulting canonical key) steps from a fresh
-    conclusion, backtracking over instance choices."""
+def _replay(start: Derivation, recipe: list[tuple[str, str]]) -> Derivation:
+    """Replay a list of (rule, resulting canonical key) steps on top of
+    ``start``, backtracking over instance choices."""
 
     def go(cur: Derivation, idx: int) -> Optional[Derivation]:
         if idx == len(recipe):
@@ -371,7 +367,7 @@ def _replay_recipe(conclusion: Structure, recipe: list[tuple[str, str]]
                 return got
         return None
 
-    out = go(start_derivation(conclusion), 0)
+    out = go(start, 0)
     if out is None:
         raise SearchError("could not replay the assembled derivation")
     return out
@@ -424,7 +420,7 @@ def invert(t: Structure, proof: Derivation,
         raise SearchError("the negation of the target is not invertible")
     p = _strip_from_par(canonicalize(strip_ids(proof.conclusion)), nt)
     recipe = _invert_recipe(nt, p, proof, budget)
-    out = _replay_recipe(p, recipe)
+    out = _replay(start_derivation(p), recipe)
     if canonical_key(out.premise) != canonical_key(canonicalize(negate(nt))):
         raise SearchError("inversion assembled mismatched endpoints")
     return out
@@ -467,13 +463,13 @@ def _embed_par_recipe(recipe: list[tuple[str, str]], start: Structure,
                       extra: Structure) -> list[tuple[str, str]]:
     """Embed a recipe over ``start`` so it runs beside ``extra``: replay
     it standalone to learn the intermediate states, then re-key them."""
-    d = _replay_recipe(start, recipe)
+    d = _replay(start_derivation(start), recipe)
     return _recipe_in_par(d, extra)
 
 
 def _embed_fo_recipe(recipe: list[tuple[str, str]], start: Structure,
                      binder: Name) -> list[tuple[str, str]]:
-    d = _replay_recipe(start, recipe)
+    d = _replay(start_derivation(start), recipe)
     return _recipe_under_fo(d, binder)
 
 
@@ -482,7 +478,8 @@ def _embed_fo_recipe(recipe: list[tuple[str, str]], start: Structure,
 # ---------------------------------------------------------------------------
 
 def _proc_of(s: Structure) -> Process:
-    return canonical_process(from_structure(canonicalize(strip_ids(s))))
+    """The canonical process read from a canonical process structure."""
+    return canonical_process(from_structure(strip_ids(s)))
 
 
 def _split_conclusion(concl: Structure, env_ids: frozenset[int]
@@ -650,7 +647,9 @@ def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
             walk = subterm_at(walk, ((op, idx),))
         redex_node = walk
         if isinstance(redex_node, Par) and len(redex_node.parts) > 2:
-            rest = _drop_consumed(redex_node.parts, (c1, c2))
+            rest = _remove_children(redex_node.parts, (c1, c2))
+            if rest is None:
+                raise ExtractionError("merged restrictions not found at the redex")
             whole = canonicalize(mk_par([merged] + rest))
             node = LtsNode(RULE_CNTXP, _proc_of(redex_node), _proc_of(whole),
                            SILENT, (node,))
@@ -670,17 +669,6 @@ def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
     tree = chain_nodes(nodes)
     return LtsNode(tree.rule, canonical_process(e), canonical_process(f),
                    tree.label, tree.children)
-
-
-def _drop_consumed(parts: tuple[Structure, ...],
-                   consumed: tuple[Structure, ...]) -> list[Structure]:
-    rest = list(parts)
-    for want in consumed:
-        for i, c in enumerate(rest):
-            if canonical_key(c) == canonical_key(want) and uid_set(c) == uid_set(want):
-                del rest[i]
-                break
-    return rest
 
 
 def _locate_env_ids(concl: Structure, env: Structure) -> frozenset[int]:
@@ -842,7 +830,7 @@ def _interaction_proof(x: Structure, budget: SearchBudget) -> Derivation:
     if hit is None:
         recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
         try:
-            hit = _replay_recipe(goal, recipe)
+            hit = _replay(start_derivation(goal), recipe)
         except SearchError:
             out = prove(goal, "down", budget)
             if not out.found:
@@ -875,32 +863,6 @@ def _in_par_context(inner: Derivation, extra: Structure) -> Derivation:
     return d
 
 
-def _replay_onto(d: Derivation, conclusion: Structure) -> Derivation:
-    """Replay the rule recipe of ``d`` from a congruent conclusion that
-    carries different occurrence ids."""
-    if canonical_key(d.conclusion) != canonical_key(conclusion):
-        raise SearchError("replay target is not congruent to the conclusion")
-    recipe = [(st.rule, canonical_key(st.result)) for st in d.steps]
-
-    def go(cur: Derivation, idx: int) -> Optional[Derivation]:
-        if idx == len(recipe):
-            return cur
-        rule, want = recipe[idx]
-        base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
-        for inst in enumerate_instances(cur.premise, frozenset({base})):
-            if canonical_key(apply_instance(cur.premise, inst)) != want:
-                continue
-            got = go(extend(cur, inst), idx + 1)
-            if got is not None:
-                return got
-        return None
-
-    out = go(Derivation(conclusion), 0)
-    if out is None:
-        raise SearchError("could not replay the derivation on the new conclusion")
-    return out
-
-
 def _compose_proof(standard: Derivation, f_struct: Structure,
                    budget: SearchBudget) -> Derivation:
     """Extend a standard derivation of ``[<e>; R]`` from ``<f>`` into a
@@ -913,7 +875,9 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
     nf_ids, _ = assign_ids(nf, base)
     lower = _in_par_context(standard, nf_ids)
     inter = _interaction_proof(strip_ids(f_struct), budget)
-    upper = _replay_onto(inter, lower.premise)
+    if canonical_key(inter.conclusion) != canonical_key(lower.premise):
+        raise SearchError("replay target is not congruent to the conclusion")
+    upper = _replay(Derivation(lower.premise), _recipe(inter))
     return Derivation(lower.conclusion, lower.steps + upper.steps)
 
 

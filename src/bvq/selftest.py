@@ -254,7 +254,7 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
         # negative samples: unreached combinations of seen targets/labels
         candidates = []
         for f, _ in simple_pairs:
-            for alpha in labels_seen:
+            for alpha in sorted(labels_seen, key=print_actions):
                 if (process_key(f), print_actions(alpha)) not in keys:
                     candidates.append((f, alpha))
         rng.shuffle(candidates)

@@ -20,6 +20,7 @@ from typing import Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError,
     RuleInstance, Step, apply_instance, check_derivation, enumerate_instances,
+    is_right_context,
 )
 from .structures import (
     Context, Seq, Structure, StructureError, canonical_key, is_tensor_free,
@@ -31,22 +32,6 @@ _TF_RULES = frozenset({AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN})
 
 class StandardizationError(DerivationError):
     pass
-
-
-def is_right_context(host: Structure, path: Context) -> bool:
-    """True when the hole at ``path`` never sits right of non-unit Seq
-    material and never under CoPar or negation."""
-    cur = host
-    for op, idx in path:
-        if op in ("copar", "not"):
-            return False
-        if op == "seq":
-            if not isinstance(cur, Seq):
-                raise StructureError("path does not match the host")
-            if any(canonical_key(p) != "1" for p in cur.parts[:idx]):
-                return False
-        cur = subterm_at(cur, ((op, idx),))
-    return True
 
 
 def seq_number(host: Structure, path: Context) -> int:

@@ -146,9 +146,13 @@ _IDENT_CONT = _IDENT_START | set("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """Tokenizer shared by the structure and process grammars; errors are
+    raised as ``error_cls`` with the offending position."""
+
+    def __init__(self, text: str, error_cls: type[ValueError] = StructureError):
         self.text = text
         self.pos = 0
+        self.error_cls = error_cls
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -165,7 +169,7 @@ class _Scanner:
         return ch
 
     def error(self, msg: str):
-        raise StructureError(f"{msg} at position {self.pos}")
+        raise self.error_cls(f"{msg} at position {self.pos}")
 
     def ident(self) -> str:
         self.skip_ws()

@@ -90,7 +90,7 @@ def test_lts_steps_merge_restrictions():
 def test_milner_mode_blocks_merge():
     steps = lts_steps(proc("(nu a.a.b.0)|(nu a.~a.0)"), milner_mode=True)
     assert [(print_process(t), print_actions(l)) for t, l, _ in steps] == \
-        [("(nu a.a.b.0|nu a.~a.0)", "tau")]
+        [("(nu a.~a.0|nu a.a.b.0)", "tau")]
 
 
 def test_milner_results_subset_of_default():

@@ -126,3 +126,16 @@ def test_selftest_verb(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1", "--processes", "4",
                        "--proofs", "4", "--depth", "4")
     assert code == 0 and "PASS" in out
+
+
+def test_deep_structure_is_usage_error(capsys):
+    deep = "<a;" * 1200 + "b" + ">" * 1200
+    code, out, err = run(capsys, "canon", deep)
+    assert code == 2 and not out
+    assert err.strip() == "bvq: input nests too deeply"
+
+
+def test_deep_process_is_usage_error(capsys):
+    code, out, err = run(capsys, "reach", "a." * 1500 + "0", "0", "a")
+    assert code == 2 and not out
+    assert err.strip() == "bvq: input nests too deeply"

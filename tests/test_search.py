@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -351,3 +355,38 @@ def test_reach_agrees_with_oracle_spot_checks():
             assert confirm is not None
             checked += 1
     assert checked > 20
+
+
+_ORACLE_SAMPLE = """
+import json, random
+from bvq import selftest
+from bvq.ccsr import print_actions, print_process
+from bvq.search import ReachVerdict
+
+calls = []
+
+def record(e, f, alpha, budget):
+    calls.append([print_process(e), print_process(f), print_actions(alpha)])
+    return ReachVerdict("not_found")
+
+selftest.reach = record
+selftest.compare_with_oracle(random.Random(6), processes=12, depth=4)
+print(json.dumps(calls))
+"""
+
+
+def _oracle_judgments(hash_seed: str) -> list:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _ORACLE_SAMPLE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_oracle_negatives_do_not_depend_on_hash_seed():
+    # the positives are the oracle's own list; the sampled negatives are
+    # the judgments that could move with string hashing
+    first = _oracle_judgments("1")
+    assert len(first) > 12
+    assert _oracle_judgments("2") == first
