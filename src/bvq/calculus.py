@@ -1,5 +1,5 @@
-"""Inference rules of the quantified system, instance enumeration, and
-derivation checking.
+"""Inference rules of the quantified system, instance enumeration,
+replay of step recipes, right-contexts, and derivation checking.
 
 All rules are read bottom-up: an instance rewrites a redex inside the
 conclusion into the premise.  The down fragment is ``ai_down`` (and its
@@ -13,19 +13,21 @@ one part when needed); an instance records the Par-node path, the
 children it consumes and the structure that replaces them.  Enumeration
 works on canonical forms and matches modulo congruence by trying the
 unit-degenerate readings of each child, so e.g. ``[<l;R>;T]`` has a
-``q_down`` instance with premise ``<l;[R;T]>``.
+``q_down`` instance with premise ``<l;[R;T]>``.  ``replay`` is the one
+way to rebuild a derivation from a recipe of (rule, premise key, premise
+ids) steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .structures import (
     Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
     assign_ids, canonical_key, canonicalize, free_bases, iter_atoms, mk_copar,
-    mk_par, mk_seq, parse_structure, print_structure, negate, strip_ids,
-    subterm_at, uid_set,
+    mk_par, mk_seq, parse_structure, print_structure, negate, replace_at,
+    strip_ids, subterm_at, uid_set,
 )
 
 AI_DOWN = "ai_down"
@@ -64,12 +66,15 @@ class RuleInstance:
     def premise_redex(self) -> Structure:
         return self.replacement
 
+    def consumed_uids(self) -> tuple[int, ...]:
+        """Sorted occurrence ids of every consumed atom, -1 for unnumbered."""
+        return tuple(sorted(a.uid if a.uid is not None else -1
+                            for c in self.consumed for a in iter_atoms(c)))
+
     def sort_key(self):
         return (_RULE_ORDER.get(self.rule, 9), self.path,
                 tuple(canonical_key(c) for c in self.consumed),
-                canonical_key(self.replacement),
-                tuple(sorted(a.uid if a.uid is not None else -1
-                             for c in self.consumed for a in iter_atoms(c))))
+                canonical_key(self.replacement), self.consumed_uids())
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,9 +243,7 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
             pk = canonical_key(premise)
             if pk == root_key:
                 continue
-            dedup = (inst.rule, inst.path, pk,
-                     tuple(sorted(a.uid if a.uid is not None else -1
-                                  for c in inst.consumed for a in iter_atoms(c))))
+            dedup = (inst.rule, inst.path, pk, inst.consumed_uids())
             if dedup in seen:
                 continue
             seen.add(dedup)
@@ -279,7 +282,6 @@ def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
     if rest is None:
         raise DerivationError("instance does not match the structure")
     new_node = mk_par(rest + [inst.replacement])
-    from .structures import replace_at
     out = canonicalize(replace_at(s, inst.path, new_node))
     object.__setattr__(inst, "_applied", (s, out))
     return out
@@ -290,24 +292,60 @@ def extend(d: Derivation, inst: RuleInstance) -> Derivation:
     return Derivation(d.conclusion, d.steps + (Step(inst, result),))
 
 
+# a recipe entry: (rule, canonical key of its premise, occurrence ids of
+# its premise or None when ids are not compared)
+RecipeEntry = tuple[str, str, Optional[frozenset[int]]]
+
+
+def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]:
+    """Extend ``start`` by one step per recipe entry, each an instance of
+    the entry's rule (``ai_down_left`` read as ``ai_down``) whose premise
+    has the entry's key and, when given, its ids.  Backtracks over
+    instance choices, so the first matches win; None when no choice
+    reaches the end of the recipe."""
+    if not recipe:
+        return start
+    (rule, want, ids), cur = recipe[0], start.premise
+    base = AI_DOWN if rule == AI_DOWN_LEFT else rule
+    gone = None if ids is None else uid_set(cur) - ids
+    for inst in enumerate_instances(cur, frozenset({base})):
+        # an interaction must eat exactly the ids that disappear; the id
+        # check below implies this, testing it first only saves the apply
+        if gone is not None and inst.rule == AI_DOWN and inst.consumed_ids != gone:
+            continue
+        nxt = apply_instance(cur, inst)
+        if canonical_key(nxt) != want or (ids is not None and uid_set(nxt) != ids):
+            continue
+        got = replay(Derivation(start.conclusion, start.steps + (Step(inst, nxt),)),
+                     recipe[1:])
+        if got is not None:
+            return got
+    return None
+
+
 # ---------------------------------------------------------------------------
 # derivation checking
 # ---------------------------------------------------------------------------
 
-def is_right_context(host: Structure, path: Context) -> bool:
-    """True when the hole at ``path`` never sits right of non-unit Seq
-    material and never under CoPar or negation."""
+def seq_number(host: Structure, path: Context) -> int:
+    """Seq ancestors with non-unit material left of the path."""
     cur = host
+    n = 0
     for op, idx in path:
-        if op in ("copar", "not"):
-            return False
         if op == "seq":
             if not isinstance(cur, Seq):
                 raise StructureError("path does not match the host")
             if any(canonical_key(p) != "1" for p in cur.parts[:idx]):
-                return False
+                n += 1
         cur = subterm_at(cur, ((op, idx),))
-    return True
+    return n
+
+
+def is_right_context(host: Structure, path: Context) -> bool:
+    """True when the hole at ``path`` never sits right of non-unit Seq
+    material and never under CoPar or negation."""
+    return all(op not in ("copar", "not") for op, _ in path) and \
+        seq_number(host, path) == 0
 
 
 def _schema_ok(cur: Structure, inst: RuleInstance) -> bool:
@@ -366,16 +404,9 @@ def _schema_ok(cur: Structure, inst: RuleInstance) -> bool:
 
 
 def _check_up_step(cur: Structure, result: Structure, rule: str) -> bool:
-    dual = _DUAL.get(rule)
-    if dual is None:
-        return False
     concl = canonicalize(negate(strip_ids(result)))
     want = canonical_key(canonicalize(negate(strip_ids(cur))))
-    frag = frozenset({dual, SWITCH} if dual == SWITCH else {dual})
-    for inst in enumerate_instances(concl, frag):
-        if canonical_key(apply_instance(concl, inst)) == want:
-            return True
-    return False
+    return replay(Derivation(concl), [(_DUAL[rule], want, None)]) is not None
 
 
 def check_derivation_detail(d: Derivation, system: str = "down") -> tuple[bool, str]:
@@ -482,8 +513,7 @@ def derivation_from_dict(data: dict) -> Derivation:
         if found is None:
             raise DerivationError(f"step {i}: no matching {rule} instance")
         if rule == AI_DOWN_LEFT:
-            found = RuleInstance(AI_DOWN_LEFT, found.path, found.consumed,
-                                 found.replacement, found.consumed_ids)
+            found = replace(found, rule=AI_DOWN_LEFT)
         d = extend(d, found)
     prem = data.get("premise")
     if prem is not None and canonical_key(parse_structure(prem)) != canonical_key(d.premise):

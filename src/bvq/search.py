@@ -20,22 +20,24 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional
 
 from .calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation,
+    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
     RuleInstance, Step, _remove_children, apply_instance, check_derivation,
-    enumerate_instances, extend, start_derivation,
+    derivation_to_dict, enumerate_instances, replay, seq_number,
+    start_derivation,
 )
 from .ccsr import (
-    LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
-    RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, canonical_process,
-    chain_nodes, check_lts_derivation, from_structure, is_simple_process,
-    process_congruent, refl_node, tran_node, to_structure,
+    BridgeError, LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM,
+    RULE_RES_MERGE, RULE_RES_PASS, SILENT, ActionSeq, actions_normalize,
+    canonical_process, chain_nodes, check_lts_derivation, from_structure,
+    is_simple_process, lts_to_dict, process_congruent, refl_node, tran_node,
+    to_structure,
 )
 from .bridge import actions_to_env, classify_structure, env_to_actions
-from .standardize import is_standard, seq_number
+from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
     canonical_key, canonicalize, erase_atoms, is_tensor_free, iter_atoms,
@@ -89,8 +91,7 @@ def _instances(state: Structure, fragment: str) -> list[RuleInstance]:
         if inst.rule == AI_DOWN:
             if seq_number(state, inst.path) != 0:
                 continue
-            inst = RuleInstance(AI_DOWN_LEFT, inst.path, inst.consumed,
-                                inst.replacement, inst.consumed_ids)
+            inst = replace(inst, rule=AI_DOWN_LEFT)
         out.append(inst)
     return out
 
@@ -214,15 +215,6 @@ def _same_state(a: Structure, b: Structure) -> bool:
     return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
 
 
-def _replay_step(cur: Structure, rule: str, target: Structure) -> Optional[Step]:
-    base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
-    for inst in enumerate_instances(cur, frozenset({base})):
-        nxt = apply_instance(cur, inst)
-        if _same_state(nxt, target):
-            return Step(inst, nxt)
-    return None
-
-
 def reduce(d: Derivation) -> Derivation:
     """Erase the two atoms annihilated by the lowest interaction from the
     part of the derivation below it, drop that interaction together with
@@ -233,23 +225,20 @@ def reduce(d: Derivation) -> Derivation:
     if not is_standard(d):
         raise SearchError("reduction is defined on standard derivations")
     ids = d.steps[k].instance.consumed_ids
-    chain = [d.conclusion] + [st.result for st in d.steps]
-    cur = _erase(chain[0], ids)
-    new_concl = cur
-    rebuilt: list[Step] = []
-    for i in range(k):
-        target = _erase(chain[i + 1], ids)
-        if _same_state(cur, target):
-            continue  # the step became vacuous
-        st = _replay_step(cur, d.steps[i].rule, target)
-        if st is None:
-            raise SearchError(f"cannot replay step {i} after erasure")
-        rebuilt.append(st)
-        cur = st.result
-    if not _same_state(cur, chain[k + 1]):
+    below = _erase(d.conclusion, ids)
+    recipe: list[RecipeEntry] = []
+    cur = below
+    for st in d.steps[:k]:
+        target = _erase(st.result, ids)
+        if not _same_state(cur, target):  # else the erasure made it vacuous
+            recipe.append((st.rule, canonical_key(target), uid_set(target)))
+        cur = target
+    rebuilt = replay(Derivation(below), recipe)
+    if rebuilt is None:
+        raise SearchError("cannot replay the erased steps")
+    if not _same_state(rebuilt.premise, d.steps[k].result):
         raise SearchError("erased derivation does not rejoin above the interaction")
-    rebuilt.extend(d.steps[k + 1:])
-    out = Derivation(new_concl, tuple(rebuilt))
+    out = Derivation(below, rebuilt.steps + d.steps[k + 1:])
     if not check_derivation(out):
         raise SearchError("reduction produced an invalid derivation")
     return out
@@ -350,40 +339,18 @@ def split(proof: Derivation, shape: str, parts: tuple[Structure, ...],
     raise SearchError(f"unknown split shape {shape!r}")
 
 
-def _replay(start: Derivation, recipe: list[tuple[str, str]]) -> Derivation:
-    """Replay a list of (rule, resulting canonical key) steps on top of
-    ``start``, backtracking over instance choices."""
-
-    def go(cur: Derivation, idx: int) -> Optional[Derivation]:
-        if idx == len(recipe):
-            return cur
-        rule, want = recipe[idx]
-        base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
-        for inst in enumerate_instances(cur.premise, frozenset({base})):
-            if canonical_key(apply_instance(cur.premise, inst)) != want:
-                continue
-            got = go(extend(cur, inst), idx + 1)
-            if got is not None:
-                return got
-        return None
-
-    out = go(start, 0)
+def _replay(start: Derivation, recipe: list[RecipeEntry]) -> Derivation:
+    out = replay(start, recipe)
     if out is None:
         raise SearchError("could not replay the assembled derivation")
     return out
 
 
-def _recipe(d: Derivation) -> list[tuple[str, str]]:
-    return [(st.rule, canonical_key(st.result)) for st in d.steps]
-
-
-def _recipe_in_par(d: Derivation, extra: Structure) -> list[tuple[str, str]]:
-    return [(st.rule, canonical_key(canonicalize(mk_par([st.result, extra]))))
-            for st in d.steps]
-
-
-def _recipe_under_fo(d: Derivation, binder: Name) -> list[tuple[str, str]]:
-    return [(st.rule, canonical_key(canonicalize(Sdq(binder, st.result))))
+def _recipe(d: Derivation, embed: Callable[[Structure], Structure] = lambda s: s
+            ) -> list[RecipeEntry]:
+    """The steps of ``d`` as a recipe whose premises are keyed inside the
+    context ``embed``; ids are not compared."""
+    return [(st.rule, canonical_key(canonicalize(embed(st.result))), None)
             for st in d.steps]
 
 
@@ -427,7 +394,7 @@ def invert(t: Structure, proof: Derivation,
 
 
 def _invert_recipe(nt: Structure, p: Structure, proof: Derivation,
-                   budget: SearchBudget) -> list[tuple[str, str]]:
+                   budget: SearchBudget) -> list[RecipeEntry]:
     """Step recipe for a derivation of ``p`` from ``negate(nt)``."""
     if canonical_key(nt) == "1":
         # the proof of [1; p] is already a derivation of p from the unit
@@ -445,8 +412,10 @@ def _invert_recipe(nt: Structure, p: Structure, proof: Derivation,
         sub2 = _invert_recipe(r2, p2, res.proofs[1], budget)
         neg1 = canonicalize(negate(r1))
         recipe = _recipe(res.derivation)
-        recipe += _embed_par_recipe(sub1, p1, p2)
-        recipe += _embed_par_recipe(sub2, p2, neg1)
+        recipe += _recipe(_replay(start_derivation(p1), sub1),
+                          lambda s: mk_par([s, p2]))
+        recipe += _recipe(_replay(start_derivation(p2), sub2),
+                          lambda s: mk_par([s, neg1]))
         return recipe
     if isinstance(nt, Sdq):
         res = split(proof, "fo", (Atom(nt.binder), canonicalize(nt.body), p),
@@ -454,23 +423,10 @@ def _invert_recipe(nt: Structure, p: Structure, proof: Derivation,
         t_piece = res.pieces[0]
         sub = _invert_recipe(canonicalize(nt.body), t_piece, res.proofs[0], budget)
         recipe = _recipe(res.derivation)
-        recipe += _embed_fo_recipe(sub, t_piece, nt.binder)
+        recipe += _recipe(_replay(start_derivation(t_piece), sub),
+                          lambda s: Sdq(nt.binder, s))
         return recipe
     raise SearchError("the negation of the target is not invertible")
-
-
-def _embed_par_recipe(recipe: list[tuple[str, str]], start: Structure,
-                      extra: Structure) -> list[tuple[str, str]]:
-    """Embed a recipe over ``start`` so it runs beside ``extra``: replay
-    it standalone to learn the intermediate states, then re-key them."""
-    d = _replay(start_derivation(start), recipe)
-    return _recipe_in_par(d, extra)
-
-
-def _embed_fo_recipe(recipe: list[tuple[str, str]], start: Structure,
-                     binder: Name) -> list[tuple[str, str]]:
-    d = _replay(start_derivation(start), recipe)
-    return _recipe_under_fo(d, binder)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +563,7 @@ def _advance_through(d: Derivation, want: Process, env_ids: frozenset[int]
         proc_part, _ = _split_conclusion(d.conclusion, env_ids)
         try:
             got = _proc_of(proc_part)
-        except Exception:
+        except BridgeError:
             got = None
         if got is not None and process_congruent(got, want):
             return d
@@ -776,7 +732,7 @@ class ReachVerdict:
 _interaction_proofs: dict[str, Derivation] = {}
 
 
-def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[tuple[str, str]]:
+def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]:
     """Step recipe proving ``[x; nx]`` (with ``nx`` the negation of ``x``)
     inside the context ``embed``: the usual recursion that interacts one
     layer at a time."""
@@ -788,12 +744,12 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[tuple[str, s
     if isinstance(x, One):
         return []
     if isinstance(x, Atom):
-        return [(AI_DOWN, key_of(ONE))]
+        return [(AI_DOWN, key_of(ONE), None)]
     if isinstance(x, Seq):
         a, b = x.parts[0], mk_seq(x.parts[1:])
         na, nb = negate(a), negate(b)
         after_q = mk_seq([mk_par([a, na]), mk_par([b, nb])])
-        steps = [(Q_DOWN, key_of(after_q))]
+        steps = [(Q_DOWN, key_of(after_q), None)]
         steps += _interaction_recipe(
             a, na, lambda h: embed(mk_seq([h, mk_par([b, nb])])))
         steps += _interaction_recipe(b, nb, embed)
@@ -804,7 +760,7 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[tuple[str, s
         if canonical_key(b) == "1":
             return _interaction_recipe(a, na, embed)
         after_s = mk_par([mk_copar([mk_par([a, na]), nb]), b])
-        steps = [(SWITCH, key_of(after_s))]
+        steps = [(SWITCH, key_of(after_s), None)]
         steps += _interaction_recipe(
             a, na, lambda h: embed(mk_par([mk_copar([h, nb]), b])))
         steps += _interaction_recipe(b, nb, embed)
@@ -813,7 +769,7 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[tuple[str, s
         body = x.body
         nbody = negate(body)
         after_u = Sdq(x.binder, mk_par([body, nbody]))
-        steps = [(U_DOWN, key_of(after_u))]
+        steps = [(U_DOWN, key_of(after_u), None)]
         steps += _interaction_recipe(
             body, nbody, lambda h: embed(Sdq(x.binder, h)))
         return steps
@@ -829,38 +785,14 @@ def _interaction_proof(x: Structure, budget: SearchBudget) -> Derivation:
     hit = _interaction_proofs.get(key)
     if hit is None:
         recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
-        try:
-            hit = _replay(start_derivation(goal), recipe)
-        except SearchError:
+        hit = replay(start_derivation(goal), recipe)
+        if hit is None:
             out = prove(goal, "down", budget)
             if not out.found:
                 raise SearchError("interaction proof not found within budget")
             hit = out.derivation
         _interaction_proofs[key] = hit
     return hit
-
-
-def _in_par_context(inner: Derivation, extra: Structure) -> Derivation:
-    """Replay a derivation with extra Par material standing beside it."""
-    concl = canonicalize(mk_par([inner.conclusion, extra]))
-    d = Derivation(concl)
-    extra_ids = uid_set(extra)
-    for st in inner.steps:
-        want_ids = uid_set(st.result) | extra_ids
-        want_key = canonical_key(canonicalize(mk_par([st.result, extra])))
-        base = AI_DOWN if st.rule in (AI_DOWN, AI_DOWN_LEFT) else st.rule
-        found = None
-        for inst in enumerate_instances(d.premise, frozenset({base})):
-            if st.instance.consumed_ids and inst.consumed_ids != st.instance.consumed_ids:
-                continue
-            got = apply_instance(d.premise, inst)
-            if uid_set(got) == want_ids and canonical_key(got) == want_key:
-                found = inst
-                break
-        if found is None:
-            raise SearchError("could not replay a step in context")
-        d = extend(d, found)
-    return d
 
 
 def _compose_proof(standard: Derivation, f_struct: Structure,
@@ -873,12 +805,18 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
         return standard
     base = max(uid_set(standard.conclusion), default=-1) + 1
     nf_ids, _ = assign_ids(nf, base)
-    lower = _in_par_context(standard, nf_ids)
+    # the standard derivation again, with the numbered negated target
+    # standing beside it in Par
+    beside = [(st.rule, canonical_key(canonicalize(mk_par([st.result, nf_ids]))),
+               uid_set(st.result) | uid_set(nf_ids)) for st in standard.steps]
+    lower = replay(Derivation(canonicalize(mk_par([standard.conclusion, nf_ids]))),
+                   beside)
+    if lower is None:
+        raise SearchError("could not replay a step in context")
     inter = _interaction_proof(strip_ids(f_struct), budget)
     if canonical_key(inter.conclusion) != canonical_key(lower.premise):
         raise SearchError("replay target is not congruent to the conclusion")
-    upper = _replay(Derivation(lower.premise), _recipe(inter))
-    return Derivation(lower.conclusion, lower.steps + upper.steps)
+    return _replay(lower, _recipe(inter))
 
 
 def reach(e: Process, f: Process, alpha: ActionSeq,
@@ -926,8 +864,6 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
 
 
 def verdict_to_dict(v: ReachVerdict) -> dict:
-    from .calculus import derivation_to_dict
-    from .ccsr import lts_to_dict
     out: dict = {"status": v.status, "stats": v.stats.as_dict()}
     if v.proved:
         out["proof"] = derivation_to_dict(v.proof)

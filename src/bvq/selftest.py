@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 
 from .calculus import (
-    AI_DOWN, Derivation, Q_DOWN, U_DOWN, apply_instance, check_derivation,
-    enumerate_instances, extend, start_derivation,
+    AI_DOWN, Derivation, Q_DOWN, RecipeEntry, U_DOWN, apply_instance,
+    check_derivation, enumerate_instances, extend, replay, start_derivation,
 )
 from .ccsr import (
     Name, PNu, PPar, PPrefix, Process, ZERO, enumerate_reachable,
@@ -23,6 +23,7 @@ from .ccsr import (
 )
 from .bridge import classify_structure
 from .search import SearchBudget, DEFAULT_BUDGET, reach
+from .standardize import is_standard, standardize
 from .structures import (
     Atom, ONE, Par, Sdq, Seq, Structure, canonical_key, canonicalize,
     free_bases, mk_par, mk_seq, replace_at, size, subterm_at,
@@ -67,15 +68,6 @@ def _all_paths(s: Structure, prefix=()):
             yield from _all_paths(p, prefix + ((op, i),))
     elif isinstance(s, Sdq):
         yield from _all_paths(s.body, prefix + (("fo", 0),))
-
-
-def _verify_move(bigger: Structure, rule: str, smaller: Structure):
-    """Find the rule instance leading from ``bigger`` down to ``smaller``."""
-    want = canonical_key(smaller)
-    for inst in enumerate_instances(bigger, frozenset({rule})):
-        if canonical_key(apply_instance(bigger, inst)) == want:
-            return inst
-    return None
 
 
 def _weave_pair(rng: random.Random, s: Structure) -> Structure:
@@ -142,7 +134,7 @@ def random_proof(rng: random.Random, max_atoms: int = 12,
                  max_steps: int = 8) -> Derivation:
     """A random Tensor-free proof built by forward rule application: the
     premise is the unit and each move extends the conclusion downward."""
-    chain: list[tuple[str, Structure]] = []
+    chain: list[RecipeEntry] = []  # the moves, bottom-most last
     cur: Structure = ONE
     steps = rng.randrange(1, max_steps + 1)
     guard = 0
@@ -164,17 +156,14 @@ def random_proof(rng: random.Random, max_atoms: int = 12,
             if got is None:
                 continue
             new, rule = got, U_DOWN
-        inst = _verify_move(new, rule, cur)
-        if inst is None:
+        move = (rule, canonical_key(cur), None)
+        if replay(Derivation(new), [move]) is None:
             continue
-        chain.append((rule, cur))
+        chain.append(move)
         cur = new
-    d = start_derivation(cur)
-    for rule, above in reversed(chain):
-        inst = _verify_move(d.premise, rule, above)
-        if inst is None:
-            raise AssertionError("recorded move stopped replaying")
-        d = extend(d, inst)
+    d = replay(start_derivation(cur), chain[::-1])
+    if d is None:
+        raise AssertionError("recorded moves stopped replaying")
     assert canonical_key(d.premise) == "1"
     return d
 
@@ -275,8 +264,6 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
 def run_selftest(seed: int = 0, processes: int = 40, depth: int = 5,
                  proofs: int = 50) -> tuple[bool, str]:
     """A condensed deterministic battery used by the command line."""
-    from .standardize import is_standard, standardize
-
     rng = random.Random(seed)
     lines = []
     ok = True

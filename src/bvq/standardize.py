@@ -1,4 +1,4 @@
-"""Right-contexts, Seq-numbers, commuting conversions, standardization.
+"""Seq-numbers of derivation steps, commuting conversions, standardization.
 
 A derivation is standard when every atomic interaction happens in a
 right-context: never to the right of a non-unit Seq part.  The
@@ -15,37 +15,21 @@ a quantifier move and a Seq move.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Optional
 
 from .calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError,
-    RuleInstance, Step, apply_instance, check_derivation, enumerate_instances,
-    is_right_context,
+    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError, Step,
+    apply_instance, check_derivation, enumerate_instances, is_right_context,
+    seq_number,
 )
-from .structures import (
-    Context, Seq, Structure, StructureError, canonical_key, is_tensor_free,
-    subterm_at, uid_set,
-)
+from .structures import Structure, canonical_key, is_tensor_free, uid_set
 
 _TF_RULES = frozenset({AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN})
 
 
 class StandardizationError(DerivationError):
     pass
-
-
-def seq_number(host: Structure, path: Context) -> int:
-    """Seq ancestors with non-unit material left of the path."""
-    cur = host
-    n = 0
-    for op, idx in path:
-        if op == "seq":
-            if not isinstance(cur, Seq):
-                raise StructureError("path does not match the host")
-            if any(canonical_key(p) != "1" for p in cur.parts[:idx]):
-                n += 1
-        cur = subterm_at(cur, ((op, idx),))
-    return n
 
 
 def _step_host(d: Derivation, i: int) -> Structure:
@@ -74,8 +58,7 @@ def relabel(d: Derivation) -> Derivation:
     for i, st in enumerate(d.steps):
         inst = st.instance
         if st.rule == AI_DOWN and seq_number_of_step(d, i) == 0:
-            inst = RuleInstance(AI_DOWN_LEFT, inst.path, inst.consumed,
-                                inst.replacement, inst.consumed_ids)
+            inst = replace(inst, rule=AI_DOWN_LEFT)
         steps.append(Step(inst, st.result))
     return Derivation(d.conclusion, tuple(steps))
 
@@ -91,8 +74,6 @@ def _window_search(bottom: Structure, top: Structure, max_steps: int = 4,
     quantifier/Seq moves tried to those touching the atoms the conversion
     is about; interactions may in any case only consume atoms that die
     inside the window."""
-    from .structures import iter_atoms
-
     target = canonical_key(top)
     target_ids = uid_set(top)
     dead = uid_set(bottom) - target_ids
@@ -110,8 +91,8 @@ def _window_search(bottom: Structure, top: Structure, max_steps: int = 4,
                 if not inst.consumed_ids <= dead:
                     continue
             elif relevant is not None:
-                touched = {a.uid for c in inst.consumed for a in iter_atoms(c)}
-                if touched and not touched & relevant:
+                touched = inst.consumed_uids()
+                if touched and relevant.isdisjoint(touched):
                     continue
             blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
             if blocked and not loose:

@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvq.calculus import (
-    AI_DOWN, AI_DOWN_LEFT, DOWN_FRAGMENT, Derivation, Q_DOWN, RuleInstance,
-    Step, SWITCH, U_DOWN, apply_instance, check_derivation,
+    AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, Q_DOWN,
+    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, check_derivation,
     check_derivation_detail, concat, derivation_from_dict, derivation_length,
-    derivation_to_dict, enumerate_instances, extend, start_derivation,
+    derivation_to_dict, enumerate_instances, extend, replay, start_derivation,
 )
 from bvq.structures import (
     ONE, canonical_key, canonicalize, negate, parse_structure, size,
-    strip_ids,
+    strip_ids, uid_set,
 )
 
 
@@ -145,6 +146,35 @@ def test_up_rule_duality():
                       d.conclusion if st is d.steps[0] else d.steps[0].result)))),))
         # endpoints negated and swapped must validate in the full system
         assert check_derivation(up, system="full")
+
+
+def test_full_system_rejects_an_up_step_no_down_step_mirrors():
+    def up_step(upper):
+        inst = RuleInstance(AI_UP, (), (), ONE, frozenset())
+        return Derivation(structure("b"), (Step(inst, structure(upper)),))
+
+    assert check_derivation_detail(up_step("[b;(a;~c)]"), system="full") == \
+        (False, "step 0: invalid ai_up instance")
+    assert check_derivation_detail(up_step("[b;(a;~a)]"), system="full") == \
+        (True, "ok")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_replaying_a_proofs_own_recipe_rebuilds_it(seed):
+    from bvq.selftest import random_proof
+    d = random_proof(random.Random(seed), max_atoms=8, max_steps=5)
+    recipe = [(s.rule, canonical_key(s.result), uid_set(s.result)) for s in d.steps]
+    again = replay(Derivation(d.conclusion), recipe)
+    assert again is not None and check_derivation(again)
+    assert [(s.rule, canonical_key(s.result), uid_set(s.result))
+            for s in again.steps] == recipe
+    loose = replay(Derivation(d.conclusion), [(r, k, None) for r, k, _ in recipe])
+    assert loose is not None and canonical_key(loose.premise) == "1"
+    # nothing lies above the unit, and no premise carries a foreign id
+    assert replay(Derivation(d.conclusion), recipe + [(AI_DOWN, "1", None)]) is None
+    rule, key, ids = recipe[0]
+    assert replay(Derivation(d.conclusion), [(rule, key, ids | {-7})]) is None
 
 
 def test_enumeration_is_deterministic():
