@@ -118,11 +118,15 @@ def start_derivation(s: Structure, number: bool = True) -> Derivation:
     return Derivation(s)
 
 
+def same_occurrences(a: Structure, b: Structure) -> bool:
+    """Congruent and carrying the same atom-occurrence ids."""
+    return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
+
+
 def concat(lower: Derivation, upper: Derivation) -> Derivation:
     """Chain two derivations; the upper one must start where the lower
     one ends (same canonical form and occurrence ids)."""
-    if canonical_key(lower.premise) != canonical_key(upper.conclusion) or \
-            uid_set(lower.premise) != uid_set(upper.conclusion):
+    if not same_occurrences(lower.premise, upper.conclusion):
         raise DerivationError("derivations do not chain")
     return Derivation(lower.conclusion, lower.steps + upper.steps)
 
@@ -176,11 +180,11 @@ def _node_instances(node: Par, path: Context, fragment: frozenset[str]) -> Itera
                                        _atom_id(a) | _atom_id(b))
     if Q_DOWN in fragment:
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
+            for j in range(i + 1, n):
                 for h1, t1 in _splits(parts[i]):
                     for h2, t2 in _splits(parts[j]):
+                        if h1 is h2 is ONE or t1 is t2 is ONE:
+                            continue
                         repl = mk_seq([mk_par([h1, h2]), mk_par([t1, t2])])
                         yield RuleInstance(Q_DOWN, path, (parts[i], parts[j]),
                                            repl, frozenset())
@@ -194,8 +198,10 @@ def _node_instances(node: Par, path: Context, fragment: frozenset[str]) -> Itera
                     continue
                 other = parts[j]
                 if isinstance(other, Sdq):
-                    if other.binder != binder:
-                        continue  # canonical siblings share binder names
+                    # canonical siblings share binder names; (j, i)
+                    # would mirror (i, j)
+                    if other.binder != binder or j < i:
+                        continue
                     body = mk_par([parts[i].body, other.body])
                 elif binder.base not in free_bases(other):
                     body = mk_par([parts[i].body, other])
@@ -225,7 +231,21 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
                         ) -> list[RuleInstance]:
     """All down-rule instances whose conclusion matches ``s`` (canonical),
     deterministically ordered.  Instances whose premise is congruent to
-    the conclusion are dropped as no-ops."""
+    the conclusion are dropped as no-ops, and of the instances with the
+    same rule, path, premise and consumed ids only the first is kept.
+
+    ``_node_instances`` never generates two kinds of instance that these
+    filters would drop anyway, so none is applied and canonicalized:
+
+    * the mirror ``(j, i)`` of a ``q_down`` pair, or of a ``u_down`` pair
+      of two quantifiers: it consumes the same children as ``(i, j)``
+      into a congruent premise, and ``(i, j)`` comes first, so it was
+      only ever dropped as a duplicate;
+    * a ``q_down`` split whose two heads, or two tails, are both the
+      unit: its premise ``[R;T]`` is the conclusion, a no-op.
+
+    Duplicates from congruent siblings remain, and the filters drop them.
+    """
     fragment = frozenset(fragment)
     if not fragment <= DOWN_FRAGMENT:
         raise DerivationError("search fragments may only contain down rules")
@@ -252,17 +272,12 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
     return out
 
 
-def _match_child(child: Structure, wanted: Structure) -> bool:
-    return canonical_key(child) == canonical_key(wanted) and \
-        uid_set(child) == uid_set(wanted)
-
-
 def _remove_children(parts: tuple[Structure, ...], consumed: tuple[Structure, ...]
                      ) -> Optional[list[Structure]]:
     rest = list(parts)
     for want in consumed:
         for i, c in enumerate(rest):
-            if c is want or _match_child(c, want):
+            if c is want or same_occurrences(c, want):
                 del rest[i]
                 break
         else:

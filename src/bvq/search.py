@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
     RuleInstance, Step, _remove_children, apply_instance, check_derivation,
-    derivation_to_dict, enumerate_instances, replay, seq_number,
-    start_derivation,
+    derivation_to_dict, enumerate_instances, replay, same_occurrences,
+    seq_number, start_derivation,
 )
 from .ccsr import (
     BridgeError, LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM,
@@ -211,10 +211,6 @@ def _erase(s: Structure, ids: frozenset[int]) -> Structure:
     return canonicalize(erase_atoms(s, ids))
 
 
-def _same_state(a: Structure, b: Structure) -> bool:
-    return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
-
-
 def reduce(d: Derivation) -> Derivation:
     """Erase the two atoms annihilated by the lowest interaction from the
     part of the derivation below it, drop that interaction together with
@@ -230,13 +226,13 @@ def reduce(d: Derivation) -> Derivation:
     cur = below
     for st in d.steps[:k]:
         target = _erase(st.result, ids)
-        if not _same_state(cur, target):  # else the erasure made it vacuous
+        if not same_occurrences(cur, target):  # else the erasure made it vacuous
             recipe.append((st.rule, canonical_key(target), uid_set(target)))
         cur = target
     rebuilt = replay(Derivation(below), recipe)
     if rebuilt is None:
         raise SearchError("cannot replay the erased steps")
-    if not _same_state(rebuilt.premise, d.steps[k].result):
+    if not same_occurrences(rebuilt.premise, d.steps[k].result):
         raise SearchError("erased derivation does not rejoin above the interaction")
     out = Derivation(below, rebuilt.steps + d.steps[k + 1:])
     if not check_derivation(out):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, check_derivation,
@@ -10,8 +11,9 @@ from bvq.calculus import (
     derivation_to_dict, enumerate_instances, extend, replay, start_derivation,
 )
 from bvq.structures import (
-    ONE, canonical_key, canonicalize, negate, parse_structure, size,
-    strip_ids, uid_set,
+    Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
+    canonicalize, free_bases, iter_atoms, mk_par, mk_seq, negate,
+    parse_structure, print_structure, size, strip_ids, uid_set,
 )
 
 
@@ -184,6 +186,105 @@ def test_enumeration_is_deterministic():
     assert first == second == sorted(first)
 
 
+def _reference_instances(s):
+    """Reference enumeration over ordered pairs, with no symmetry pruned:
+    every non-interaction instance is applied, and no-ops and duplicates
+    are dropped only after canonicalizing."""
+    out, seen = [], set()
+    root_key = canonical_key(s)
+    for path, node in calculus._par_nodes(s):
+        parts, n = node.parts, len(node.parts)
+        insts = list(calculus._node_instances(node, path, frozenset({AI_DOWN, SWITCH})))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for h1, t1 in calculus._splits(parts[i]):
+                    for h2, t2 in calculus._splits(parts[j]):
+                        repl = mk_seq([mk_par([h1, h2]), mk_par([t1, t2])])
+                        insts.append(RuleInstance(Q_DOWN, path, (parts[i], parts[j]),
+                                                  repl, frozenset()))
+        for i in range(n):
+            if not isinstance(parts[i], Sdq):
+                continue
+            binder = parts[i].binder
+            for j in range(n):
+                if i == j:
+                    continue
+                other = parts[j]
+                if isinstance(other, Sdq):
+                    if other.binder != binder:
+                        continue
+                    body = mk_par([parts[i].body, other.body])
+                elif binder.base not in free_bases(other):
+                    body = mk_par([parts[i].body, other])
+                else:
+                    continue
+                insts.append(RuleInstance(U_DOWN, path, (parts[i], other),
+                                          Sdq(binder, body), frozenset()))
+        for inst in insts:
+            if inst.rule == AI_DOWN:
+                out.append(inst)
+                continue
+            pk = canonical_key(apply_instance(s, inst))
+            if pk == root_key:
+                continue
+            dedup = (inst.rule, inst.path, pk, inst.consumed_uids())
+            if dedup in seen:
+                continue
+            seen.add(dedup)
+            out.append(inst)
+    out.sort(key=RuleInstance.sort_key)
+    return out
+
+
+def _described(inst):
+    return (inst.rule, inst.path,
+            tuple((print_structure(c), tuple(a.uid for a in iter_atoms(c)))
+                  for c in inst.consumed),
+            print_structure(inst.replacement), inst.consumed_ids)
+
+
+_names = st.builds(Name, st.sampled_from("abc"), st.booleans())
+_raw = st.recursive(
+    st.builds(Atom, _names),
+    lambda sub: st.one_of(
+        st.builds(Seq, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(Par, st.lists(sub, min_size=2, max_size=4).map(tuple)),
+        st.builds(CoPar, st.lists(sub, min_size=2, max_size=2).map(tuple)),
+        st.builds(Sdq, st.builds(Name, st.sampled_from("ab")), sub),
+    ),
+    max_leaves=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw, st.booleans())
+def test_enumeration_equals_the_ordered_pair_reference(raw, numbered):
+    s = canonicalize(raw)
+    if numbered:
+        s, _ = assign_ids(s)
+    assert [_described(i) for i in enumerate_instances(s)] == \
+        [_described(i) for i in _reference_instances(s)]
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("[<a;b>;<~a;~b>;c]", 15),                 # 42 with ordered pairs
+    ("[<a;b;c>;<~a;~b>;[d;<e;f>]]", 41),       # 106
+    ("[fo a.<a;b>;fo a.<~a;c>;d]", 9),         # 28
+])
+def test_enumeration_applies_only_instances_it_keeps(monkeypatch, text, calls):
+    applied = []
+
+    def counting(s, inst):
+        applied.append(inst)
+        return apply_instance(s, inst)
+
+    monkeypatch.setattr(calculus, "apply_instance", counting)
+    kept = enumerate_instances(structure(text))
+    assert len(applied) == len(kept) == calls
+
+
 def test_json_roundtrip():
     d = _internal_comm_derivation()
     data = derivation_to_dict(d)
@@ -191,6 +292,14 @@ def test_json_roundtrip():
     assert check_derivation(d2)
     assert canonical_key(d2.premise) == canonical_key(d.premise)
     assert derivation_to_dict(d2) == data
+
+
+def test_json_step_may_list_a_pair_in_mirrored_order():
+    d = _internal_comm_derivation()
+    data = derivation_to_dict(d)
+    data["steps"][0].update(redexBefore="[<~a;f>;<a;e>]",
+                            redexAfter="<[~a;a];[f;e]>")
+    assert derivation_to_dict(derivation_from_dict(data)) == derivation_to_dict(d)
 
 
 def test_fragment_restriction():
