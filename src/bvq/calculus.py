@@ -15,13 +15,15 @@ works on canonical forms and matches modulo congruence by trying the
 unit-degenerate readings of each child, so e.g. ``[<l;R>;T]`` has a
 ``q_down`` instance with premise ``<l;[R;T]>``.  ``replay`` is the one
 way to rebuild a derivation from a recipe of (rule, premise key, premise
-ids) steps.
+ids) steps, and ``breadth_first`` is the one breadth-first search loop
+over derivation states.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .structures import (
     Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
@@ -61,10 +63,6 @@ class RuleInstance:
     @property
     def conclusion_redex(self) -> Structure:
         return mk_par(self.consumed) if len(self.consumed) != 1 else self.consumed[0]
-
-    @property
-    def premise_redex(self) -> Structure:
-        return self.replacement
 
     def consumed_uids(self) -> tuple[int, ...]:
         """Sorted occurrence ids of every consumed atom, -1 for unnumbered."""
@@ -336,6 +334,45 @@ def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]
         if got is not None:
             return got
     return None
+
+
+def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
+                  max_steps: float, max_visited: float
+                  ) -> tuple[Optional[list[tuple]], bool, int, int]:
+    """Breadth-first search from ``start``; ``successors(state)`` yields
+    ``(edge, state)`` pairs and a state whose ``key`` was seen is dropped.
+    The goal is tested on each new key when it is generated.  Every
+    successor counts one step, checked before it is keyed; the count of
+    distinct states is checked after each new state that is not a goal.
+    Returns ``(path, exhausted, steps, visited)``: ``path`` lists the
+    ``(edge, state)`` pairs up to the goal or is None, and ``exhausted``
+    tells a budget stop from a closed state space."""
+    k0 = key(start)
+    if is_goal(k0):
+        return [], False, 0, 1
+    parents: dict = {k0: (None, None, start)}  # key -> (parent key, edge, state)
+    queue = deque([k0])
+    steps = 0
+    while queue:
+        k = queue.popleft()
+        for edge, nxt in successors(parents[k][2]):
+            steps += 1
+            if steps > max_steps:
+                return None, True, steps, len(parents)
+            nk = key(nxt)
+            if nk in parents:
+                continue
+            parents[nk] = (k, edge, nxt)
+            if is_goal(nk):
+                path = []
+                while parents[nk][0] is not None:
+                    nk, edge, nxt = parents[nk]
+                    path.append((edge, nxt))
+                return path[::-1], False, steps, len(parents)
+            if len(parents) > max_visited:
+                return None, True, steps, len(parents)
+            queue.append(nk)
+    return None, False, steps, len(parents)
 
 
 # ---------------------------------------------------------------------------

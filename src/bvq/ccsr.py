@@ -114,7 +114,10 @@ def _parse_par(sc: _Scanner) -> Process:
 
 def parse_process(text: str) -> Process:
     sc = _Scanner(text, ProcessError)
-    p = _parse_par(sc)
+    try:
+        p = _parse_par(sc)
+    except RecursionError:
+        raise ProcessError("input nests too deeply") from None
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")

@@ -19,13 +19,13 @@ and the trivial residue becomes restriction merges.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    RuleInstance, Step, _remove_children, apply_instance, check_derivation,
+    Step, _remove_children, apply_instance, breadth_first, check_derivation,
     derivation_to_dict, enumerate_instances, replay, same_occurrences,
     seq_number, start_derivation,
 )
@@ -82,20 +82,6 @@ class SearchOutcome:
 _SEARCH_RULES = frozenset({AI_DOWN, Q_DOWN, U_DOWN, SWITCH})
 
 
-def _instances(state: Structure, fragment: str) -> list[RuleInstance]:
-    insts = enumerate_instances(state, _SEARCH_RULES)
-    if fragment != "standard":
-        return insts
-    out = []
-    for inst in insts:
-        if inst.rule == AI_DOWN:
-            if seq_number(state, inst.path) != 0:
-                continue
-            inst = replace(inst, rule=AI_DOWN_LEFT)
-        out.append(inst)
-    return out
-
-
 _ENV_MARK = "\x00env"
 
 
@@ -132,42 +118,20 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
             return canonical_key(s), ()
         return canonical_key(_mark_env(s, live)), tuple(sorted(live))
 
-    def is_goal(key: tuple[str, tuple[int, ...]]) -> bool:
-        return key[0] == want and not key[1]
+    def successors(s: Structure):
+        for inst in enumerate_instances(s, _SEARCH_RULES):
+            if fragment == "standard" and inst.rule == AI_DOWN:
+                if seq_number(s, inst.path) != 0:
+                    continue
+                inst = replace(inst, rule=AI_DOWN_LEFT)
+            yield inst, apply_instance(s, inst)
 
-    k0 = state_key(start)
-    if is_goal(k0):
-        return SearchOutcome(Derivation(start), False, 0, 1)
-    parents: dict[tuple, tuple[Optional[tuple], Structure, Optional[RuleInstance]]] = {
-        k0: (None, start, None)}
-    queue = deque([k0])
-    steps = 0
-    while queue:
-        key = queue.popleft()
-        state = parents[key][1]
-        for inst in _instances(state, fragment):
-            steps += 1
-            if steps > budget.max_steps:
-                return SearchOutcome(None, True, steps, len(parents))
-            nxt = apply_instance(state, inst)
-            nk = state_key(nxt)
-            if nk in parents:
-                continue
-            parents[nk] = (key, nxt, inst)
-            if is_goal(nk):
-                chain: list[Step] = []
-                cur = nk
-                while parents[cur][2] is not None:
-                    pk, st, pinst = parents[cur]
-                    chain.append(Step(pinst, st))
-                    cur = pk
-                chain.reverse()
-                return SearchOutcome(Derivation(start, tuple(chain)),
-                                     False, steps, len(parents))
-            if len(parents) > budget.max_visited:
-                return SearchOutcome(None, True, steps, len(parents))
-            queue.append(nk)
-    return SearchOutcome(None, False, steps, len(parents))
+    path, exhausted, steps, visited = breadth_first(
+        start, state_key, successors, lambda k: k[0] == want and not k[1],
+        budget.max_steps, budget.max_visited)
+    d = None if path is None else \
+        Derivation(start, tuple(Step(inst, s) for inst, s in path))
+    return SearchOutcome(d, exhausted, steps, visited)
 
 
 def prove(goal: Structure, fragment: str = "down",
@@ -725,9 +689,6 @@ class ReachVerdict:
         return self.status == "proved"
 
 
-_interaction_proofs: dict[str, Derivation] = {}
-
-
 def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]:
     """Step recipe proving ``[x; nx]`` (with ``nx`` the negation of ``x``)
     inside the context ``embed``: the usual recursion that interacts one
@@ -772,23 +733,20 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]
     raise SearchError("cannot build an interaction proof for this shape")
 
 
+@lru_cache(maxsize=256)  # reused across judgments, bounded per process
 def _interaction_proof(x: Structure, budget: SearchBudget) -> Derivation:
-    """A proof of ``[x; negate(x)]``, built by the interaction recursion
-    and replayed into a checked derivation."""
-    x = canonicalize(strip_ids(x))
+    """A proof of ``[x; negate(x)]`` for a canonical ``x`` without ids,
+    built by the interaction recursion and replayed into a checked
+    derivation."""
     goal = canonicalize(mk_par([x, negate(x)]))
-    key = canonical_key(goal)
-    hit = _interaction_proofs.get(key)
-    if hit is None:
-        recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
-        hit = replay(start_derivation(goal), recipe)
-        if hit is None:
-            out = prove(goal, "down", budget)
-            if not out.found:
-                raise SearchError("interaction proof not found within budget")
-            hit = out.derivation
-        _interaction_proofs[key] = hit
-    return hit
+    recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
+    proof = replay(start_derivation(goal), recipe)
+    if proof is None:
+        out = prove(goal, "down", budget)
+        if not out.found:
+            raise SearchError("interaction proof not found within budget")
+        proof = out.derivation
+    return proof
 
 
 def _compose_proof(standard: Derivation, f_struct: Structure,
@@ -809,7 +767,7 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
                    beside)
     if lower is None:
         raise SearchError("could not replay a step in context")
-    inter = _interaction_proof(strip_ids(f_struct), budget)
+    inter = _interaction_proof(canonicalize(strip_ids(f_struct)), budget)
     if canonical_key(inter.conclusion) != canonical_key(lower.premise):
         raise SearchError("replay target is not congruent to the conclusion")
     return _replay(lower, _recipe(inter))

@@ -129,12 +129,6 @@ def mk_copar(parts) -> Structure:
     return CoPar(parts)
 
 
-def mk_sdq(binder: Name, body: Structure) -> Structure:
-    if not binder.positive:
-        raise StructureError("quantifier binder must be a positive name")
-    return Sdq(binder, body)
-
-
 # ---------------------------------------------------------------------------
 # parsing / printing
 # ---------------------------------------------------------------------------
@@ -229,7 +223,10 @@ def _parse_struct(sc: _Scanner) -> Structure:
 def parse_structure(text: str) -> Structure:
     """Parse the text grammar.  ``fo`` is a reserved word."""
     sc = _Scanner(text)
-    s = _parse_struct(sc)
+    try:
+        s = _parse_struct(sc)
+    except RecursionError:
+        raise StructureError("input nests too deeply") from None
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")

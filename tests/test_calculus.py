@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, Q_DOWN,
-    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, check_derivation,
-    check_derivation_detail, concat, derivation_from_dict, derivation_length,
-    derivation_to_dict, enumerate_instances, extend, replay, start_derivation,
+    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
+    check_derivation, check_derivation_detail, concat, derivation_from_dict,
+    derivation_length, derivation_to_dict, enumerate_instances, extend,
+    replay, start_derivation,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
@@ -306,3 +307,21 @@ def test_fragment_restriction():
     with pytest.raises(Exception):
         enumerate_instances(structure("[a;~a]"), frozenset({"ai_up"}))
     assert frozenset({AI_DOWN, AI_DOWN_LEFT, SWITCH, Q_DOWN, U_DOWN}) == DOWN_FRAGMENT
+
+
+def test_breadth_first_goal_test_and_budgets():
+    # n -> 2n, 2n+1 below 4: breadth-first order 1, 2, 3, 4, 5, 6, 7
+    def succ(n):
+        return [("2n", 2 * n), ("2n+1", 2 * n + 1)] if n < 4 else []
+
+    def run(goal, max_steps=100, max_visited=100):
+        return breadth_first(1, lambda n: n, succ, lambda k: k == goal,
+                             max_steps, max_visited)
+
+    assert run(1) == ([], False, 0, 1)
+    assert run(6) == ([("2n+1", 3), ("2n", 6)], False, 5, 6)
+    assert run(9) == (None, False, 6, 7)          # closed state space
+    assert run(6, max_steps=4) == (None, True, 5, 5)
+    assert run(6, max_visited=4) == (None, True, 4, 5)
+    # a goal is returned when generated, before the visited bound is checked
+    assert run(5, max_visited=4) == ([("2n", 2), ("2n+1", 5)], False, 4, 5)

@@ -27,6 +27,11 @@ def test_parse_examples():
         proc("a.")
 
 
+def test_parse_rejects_deep_nesting_with_its_own_error():
+    with pytest.raises(ProcessError, match="^input nests too deeply$"):
+        proc("a." * 1500 + "0")
+
+
 def test_parse_top_level_parallel():
     p = proc("(nu a.a.b.0)|(nu a.~a.0)")
     assert isinstance(p, PPar)

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from bvq.calculus import (
-    AI_DOWN, check_derivation, enumerate_instances, extend, start_derivation,
+    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, check_derivation, derivation_from_dict,
+    enumerate_instances, extend, replay, start_derivation,
 )
 from bvq.standardize import (
     StandardizationError, commute_once, is_right_context, is_standard,
@@ -125,6 +127,54 @@ def test_standardize_random_proofs():
         assert is_standard(out)
         assert congruent(out.conclusion, d.conclusion)
         assert congruent(out.premise, d.premise)
+
+
+# the 10th draw of random_proof(random.Random(51), max_atoms=12, max_steps=8)
+REJECTED_PROOF = json.loads("""
+{"conclusion": "[~a;b;~b;<[a;a;~a];[b;<~b;[a;~a];[a;~a]>]>]", "premise": "1",
+ "steps": [
+  {"rule": "ai_down", "path": [["par", 3], ["seq", 1], ["par", 1], ["seq", 1]],
+   "redexBefore": "[a;~a]", "redexAfter": "1", "consumedIds": [8, 9]},
+  {"rule": "ai_down", "path": [["par", 3], ["seq", 1], ["par", 1], ["seq", 1]],
+   "redexBefore": "[a;~a]", "redexAfter": "1", "consumedIds": [10, 11]},
+  {"rule": "ai_down", "path": [["par", 3], ["seq", 0]],
+   "redexBefore": "[a;~a]", "redexAfter": "1", "consumedIds": [3, 5]},
+  {"rule": "ai_down", "path": [["par", 3], ["seq", 1]],
+   "redexBefore": "[b;~b]", "redexAfter": "1", "consumedIds": [6, 7]},
+  {"rule": "ai_down", "path": [],
+   "redexBefore": "[a;~a]", "redexAfter": "1", "consumedIds": [0, 4]},
+  {"rule": "ai_down", "path": [],
+   "redexBefore": "[b;~b]", "redexAfter": "1", "consumedIds": [1, 2]}]}
+""")
+
+
+def test_rejected_goal_has_a_standard_proof():
+    premises = [
+        (Q_DOWN, "[b;~b;<[~a;a;a;~a];[b;<~b;[a;~a];[a;~a]>]>]"),
+        (AI_DOWN_LEFT, "[b;~b;<[a;~a];[b;<~b;[a;~a];[a;~a]>]>]"),
+        (AI_DOWN_LEFT, "[b;~b;b;<~b;[a;~a];[a;~a]>]"),
+        (AI_DOWN_LEFT, "[b;<~b;[a;~a];[a;~a]>]"),
+        (Q_DOWN, "<[b;~b];[a;~a];[a;~a]>"),
+        (AI_DOWN_LEFT, "<[a;~a];[a;~a]>"),
+        (AI_DOWN_LEFT, "[a;~a]"),
+        (AI_DOWN_LEFT, "1"),
+    ]
+    goal = parse_structure(REJECTED_PROOF["conclusion"])
+    d = replay(start_derivation(goal),
+               [(rule, canonical_key(parse_structure(p)), None)
+                for rule, p in premises])
+    assert d is not None and check_derivation(d) and is_standard(d)
+    assert relabel(d).rules() == [rule for rule, _ in premises]
+
+
+@pytest.mark.xfail(strict=True, raises=StandardizationError,
+                   reason="commute_once finds no commuting conversion for "
+                          "one blocked interaction of this proof")
+def test_standardize_six_step_proof_with_a_standard_form():
+    d = derivation_from_dict(REJECTED_PROOF)
+    assert check_derivation(d) and len(d.steps) == 6
+    out = standardize(d)
+    assert check_derivation(out) and is_standard(out)
 
 
 def test_unstandardizable_derivation_reports():

@@ -31,6 +31,12 @@ def test_parse_errors_carry_position():
         parse_structure("[a;](")
 
 
+def test_parse_rejects_deep_nesting_with_its_own_error():
+    deep = "<a;" * 1200 + "b" + ">" * 1200
+    with pytest.raises(StructureError, match="^input nests too deeply$"):
+        parse_structure(deep)
+
+
 def test_roundtrip_on_canonical_forms():
     for text in ["1", "a", "~a", "[a;~b]", "<a;b;c>", "(~a;~b)",
                  "fo a.[a;<b;~a>]", "[~a;~b;fo c.~c]"]:
