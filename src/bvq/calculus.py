@@ -65,9 +65,14 @@ class RuleInstance:
         return mk_par(self.consumed) if len(self.consumed) != 1 else self.consumed[0]
 
     def consumed_uids(self) -> tuple[int, ...]:
-        """Sorted occurrence ids of every consumed atom, -1 for unnumbered."""
-        return tuple(sorted(a.uid if a.uid is not None else -1
-                            for c in self.consumed for a in iter_atoms(c)))
+        """Sorted occurrence ids of every consumed atom, -1 for unnumbered;
+        computed once per instance."""
+        got = getattr(self, "_uids", None)
+        if got is None:
+            got = tuple(sorted(a.uid if a.uid is not None else -1
+                               for c in self.consumed for a in iter_atoms(c)))
+            object.__setattr__(self, "_uids", got)
+        return got
 
     def sort_key(self):
         return (_RULE_ORDER.get(self.rule, 9), self.path,

@@ -100,6 +100,48 @@ def _mark_env(s: Structure, live: frozenset[int]) -> Structure:
     return s
 
 
+def _state_key(s: Structure, env_ids: frozenset[int]
+               ) -> tuple[str, tuple[int, ...]]:
+    """Search key of a canonical state: its canonical key, made from a
+    copy with live environment atoms marked when they have twins, and
+    the sorted ids of the environment atoms it still holds.
+
+    A twin is an atom outside the live set with the name (base and
+    polarity) of a live one.  Without twins the plain key splits states
+    exactly as the marked key would:
+
+    * live environment atoms are never bound, because ``u_down`` refuses
+      a capture and canonical binder names avoid every free base, so
+      marking renames free labels only;
+    * the live ids fix the live names, since an occurrence keeps its name
+      along the search, so two states with the same live ids undergo the
+      same renaming, and without twins it is injective on names (marked
+      names carry a character no parsed name has);
+    * on ``Not``-free canonical states, such a renaming preserves and
+      reflects congruence (units, associativity, commutativity and
+      binder renaming and reordering never compare two different free
+      names; up to the chain cap of ``structures._MAX_CHAIN_PERms``);
+    * whether a state has twins is read from the free names of its
+      marked form, so it is itself a function of the marked class, and a
+      plain key never equals a marked one, which holds a marked name.
+
+    So the marked copy is built and canonicalized only for twin states.
+    """
+    if not env_ids:
+        return canonical_key(s), ()
+    live: list[Atom] = []
+    others: list[Atom] = []
+    for a in iter_atoms(s):
+        (live if a.uid in env_ids else others).append(a)
+    if not live:
+        return canonical_key(s), ()
+    ids = tuple(sorted(a.uid for a in live))
+    live_names = {(a.name.base, a.name.positive) for a in live}
+    if any((a.name.base, a.name.positive) in live_names for a in others):
+        return canonical_key(_mark_env(s, frozenset(ids))), ids
+    return canonical_key(s), ids
+
+
 def _search(start: Structure, fragment: str, budget: SearchBudget,
             goal_key: Optional[str], env_ids: frozenset[int] = frozenset()
             ) -> SearchOutcome:
@@ -112,12 +154,6 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         raise SearchError("the standard fragment handles Tensor-free goals only")
     want = goal_key if goal_key is not None else "1"
 
-    def state_key(s: Structure) -> tuple[str, tuple[int, ...]]:
-        live = env_ids & uid_set(s)
-        if not live:
-            return canonical_key(s), ()
-        return canonical_key(_mark_env(s, live)), tuple(sorted(live))
-
     def successors(s: Structure):
         for inst in enumerate_instances(s, _SEARCH_RULES):
             if fragment == "standard" and inst.rule == AI_DOWN:
@@ -127,7 +163,8 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
             yield inst, apply_instance(s, inst)
 
     path, exhausted, steps, visited = breadth_first(
-        start, state_key, successors, lambda k: k[0] == want and not k[1],
+        start, lambda s: _state_key(s, env_ids), successors,
+        lambda k: k[0] == want and not k[1],
         budget.max_steps, budget.max_visited)
     d = None if path is None else \
         Derivation(start, tuple(Step(inst, s) for inst, s in path))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import is_
 from typing import Iterator, Optional, Union
 
 
@@ -339,51 +340,71 @@ def is_tensor_free(s: Structure) -> bool:
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def _prepare(s: Structure, neg: bool) -> tuple[Structure, frozenset[str], int]:
+def _prepare(s: Structure, neg: bool, frees: set[str],
+             binders: list[str]) -> Structure:
     """One fused pass: push negation to atoms, drop units, flatten
     associativity, drop vacuous quantifiers.  Returns the simplified
-    structure with its free name bases and its quantifier count."""
-    if isinstance(s, One):
-        return ONE, frozenset(), 0
-    if isinstance(s, Atom):
-        out = Atom(s.name.complement(), s.uid) if neg else s
-        return out, frozenset((out.name.base,)), 0
-    if isinstance(s, Not):
-        return _prepare(s.body, not neg)
-    if isinstance(s, (Seq, Par, CoPar)):
-        if isinstance(s, Seq):
+    structure; adds its free name bases to ``frees`` and appends the base
+    of every quantifier it keeps to ``binders``."""
+    t = type(s)
+    if t is Atom:
+        if neg:
+            s = Atom(s.name.complement(), s.uid)
+        frees.add(s.name.base)
+        return s
+    if t is Seq or t is Par or t is CoPar:
+        if t is Seq:
             cls = Seq
-        elif isinstance(s, Par):
-            cls = CoPar if neg else Par
+        elif (t is Par) is not neg:
+            cls = Par
         else:
-            cls = Par if neg else CoPar
+            cls = CoPar
         parts: list[Structure] = []
-        frees: set[str] = set()
-        count = 0
+        same = cls is t and not neg  # s can be returned as it is
         for p in s.parts:
-            q, f, c = _prepare(p, neg)
-            frees |= f
-            count += c
-            if isinstance(q, One):
+            # atom and unit children are handled inline, saving a call
+            # for most children
+            tp = type(p)
+            if tp is Atom:
+                if neg:
+                    p = Atom(p.name.complement(), p.uid)
+                frees.add(p.name.base)
+                parts.append(p)
                 continue
-            if isinstance(q, cls):
+            if tp is One:
+                same = False
+                continue
+            q = _prepare(p, neg, frees, binders)
+            tq = type(q)
+            if tq is cls:
                 parts.extend(q.parts)
-            else:
+                same = False
+            elif tq is not One:
                 parts.append(q)
-        if not parts:
-            return ONE, frozenset(frees), count
-        if len(parts) == 1:
-            return parts[0], frozenset(frees), count
-        return cls(tuple(parts)), frozenset(frees), count
-    if isinstance(s, Sdq):
-        body, frees, count = _prepare(s.body, neg)
-        if s.binder.base not in frees:
-            return body, frees, count
-        return Sdq(s.binder, body), frees - {s.binder.base}, count + 1
+                same = same and q is p
+            else:
+                same = False
+        if len(parts) > 1:
+            return s if same else cls(tuple(parts))
+        return parts[0] if parts else ONE
+    if t is Sdq:
+        inner: set[str] = set()
+        body = _prepare(s.body, neg, inner, binders)
+        base = s.binder.base
+        if base in inner:
+            inner.discard(base)
+            body = s if body is s.body else Sdq(s.binder, body)
+            binders.append(base)
+        frees |= inner
+        return body
+    if t is Not:
+        return _prepare(s.body, not neg, frees, binders)
+    if t is One:
+        return ONE
     raise TypeError(f"not a structure: {s!r}")
 
 
-def _binder_candidates(frees: frozenset[str], count: int) -> list[str]:
+def _binder_candidates(frees: set[str], count: int) -> list[str]:
     out: list[str] = []
     i = 0
     while len(out) < count:
@@ -400,6 +421,10 @@ _MAX_CHAIN_PERms = 6  # chains longer than this keep their given order
 _BIG = 1 << 60
 
 
+def _key_uid(triple: tuple[str, Structure, int]) -> tuple[str, int]:
+    return triple[0], triple[2]
+
+
 def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
            cands: list[str]) -> tuple[str, Structure, int]:
     """Return the canonical key, the renamed canonical structure and the
@@ -409,37 +434,47 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
     innermost last; bound atoms are keyed by de-Bruijn distance so the
     key never depends on user-chosen binder names.
     """
-    if isinstance(s, One):
-        return "1", ONE, _BIG
-    if isinstance(s, Atom):
+    t = type(s)
+    if t is Atom:
         # Key tags are chosen so that sorted Par/CoPar children come out
         # atoms first (positive before negative), then CoPar, Par,
         # quantifier, Seq -- the order canonical forms are displayed in.
-        uid = s.uid if s.uid is not None else _BIG
-        sign = "+" if s.name.positive else "-"
+        name = s.name
+        uid = s.uid
+        if uid is None:
+            uid = _BIG
+        sign = "+" if name.positive else "-"
+        base = name.base
         for i in range(len(scope) - 1, -1, -1):
-            if scope[i][0] == s.name.base:
-                dist = len(scope) - 1 - i
-                return (f"Ab{dist}{sign}",
-                        Atom(Name(scope[i][1], s.name.positive), s.uid), uid)
-        return f"Af{s.name.base}{sign}", s, uid
-    if isinstance(s, Seq):
-        triples = [_canon(p, scope, depth, cands) for p in s.parts]
-        key = "S<" + ";".join(k for k, _, _ in triples) + ">"
-        return (key, Seq(tuple(t for _, t, _ in triples)),
-                min(u for _, _, u in triples))
-    if isinstance(s, (Par, CoPar)):
-        triples = [_canon(p, scope, depth, cands) for p in s.parts]
-        triples.sort(key=lambda kt: (kt[0], kt[2]))
-        open_, close = ("P[", "]") if isinstance(s, Par) else ("C(", ")")
-        key = open_ + ";".join(k for k, _, _ in triples) + close
-        cls = Par if isinstance(s, Par) else CoPar
-        return (key, cls(tuple(t for _, t, _ in triples)),
-                min(u for _, _, u in triples))
-    if isinstance(s, Sdq):
+            if scope[i][0] == base:
+                if scope[i][1] != base:
+                    s = Atom(Name(scope[i][1], name.positive), s.uid)
+                return f"Ab{len(scope) - 1 - i}{sign}", s, uid
+        return "Af" + base + sign, s, uid
+    if t is Seq or t is Par or t is CoPar:
+        triples = []
+        for p in s.parts:
+            if scope or type(p) is not Atom:
+                triples.append(_canon(p, scope, depth, cands))
+            else:  # a free atom, handled inline like in _prepare
+                name = p.name
+                triples.append(("Af" + name.base + ("+" if name.positive else "-"),
+                                p, _BIG if p.uid is None else p.uid))
+        if t is Seq:
+            keys, kids, uids = zip(*triples)
+            key = "S<" + ";".join(keys) + ">"
+        else:
+            triples.sort(key=_key_uid)
+            keys, kids, uids = zip(*triples)
+            key = ("P[" + ";".join(keys) + "]" if t is Par
+                   else "C(" + ";".join(keys) + ")")
+        if not all(map(is_, kids, s.parts)):  # else s is canonical
+            s = t(kids)
+        return key, s, min(uids)
+    if t is Sdq:
         chain = []
         body = s
-        while isinstance(body, Sdq):
+        while type(body) is Sdq:
             chain.append(body.binder.base)
             body = body.body
         k = len(chain)
@@ -455,24 +490,35 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
         assert best is not None
         key = f"Q{k}({best[0]})"
         out: Structure = best[1]
+        if out is body and chain == cands[depth:depth + k]:
+            return key, s, best[2]
         for i in range(k - 1, -1, -1):
             out = Sdq(Name(cands[depth + i]), out)
         return key, out, best[2]
+    if t is One:
+        return "1", ONE, _BIG
     raise TypeError(f"unexpected node in canonicalization: {s!r}")
 
 
 def _canonical(s: Structure) -> tuple[str, Structure]:
-    """Canonical key and canonical structure, cached on the object."""
+    """Canonical key and canonical structure, cached on the object.
+    Raises ``StructureError`` on input nested beyond the interpreter's
+    recursion limit."""
     hit = getattr(s, "_cc", None)
     if hit is not None:
         return hit
-    core, frees, nsdq = _prepare(s, False)
-    cands = _binder_candidates(frees, nsdq)
-    key, out, _ = _canon(core, (), 0, cands)
+    frees: set[str] = set()
+    binders: list[str] = []
+    try:
+        core = _prepare(s, False, frees, binders)
+        cands = _binder_candidates(frees, len(binders)) if binders else []
+        key, out, _ = _canon(core, (), 0, cands)
+    except RecursionError:
+        raise StructureError("input nests too deeply") from None
     pair = (key, out)
     object.__setattr__(s, "_cc", pair)
     if out is not s:
-        object.__setattr__(out, "_cc", (key, out))
+        object.__setattr__(out, "_cc", pair)
     return pair
 
 

@@ -1,19 +1,27 @@
 """Property tests for congruence, which processes share with structures
-through the bridge image, and for the scanner both grammars share."""
+through the bridge image, for the canonicalization kernel against a
+reference copy, for the reach search key, and for the scanner both
+grammars share."""
 
+import math
 import random
 import re
+from itertools import permutations
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bvq import search
 from bvq.ccsr import (
-    PNu, PPar, PPrefix, ProcessError, ZERO, parse_process, print_process,
-    process_congruent, process_key,
+    PNu, PPar, PPrefix, ProcessError, ZERO, enumerate_reachable,
+    is_simple_process, parse_process, print_process, process_congruent,
+    process_key,
 )
 from bvq.structures import (
-    Atom, CoPar, Name, Not, ONE, Par, Sdq, Seq, StructureError, congruent,
-    parse_structure, print_structure,
+    Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, StructureError,
+    assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
+    parse_structure, print_structure, uid_set,
 )
 from bvq.bridge import to_structure
 
@@ -170,3 +178,231 @@ def test_seven_binder_chain_congruent_to_its_reversal():
         process_congruent(parse_process(forward_p), parse_process(backward_p)),
     )
     assert verdicts == (True, True)
+
+
+# ---------------------------------------------------------------------------
+# the canonicalization kernel against a reference copy
+# ---------------------------------------------------------------------------
+# The reference is the straightforward form of the kernel in
+# ``bvq.structures``: isinstance dispatch, a frozenset of free names per
+# node and three passes over the children.  The kernel must agree with
+# it on keys, canonical structures and where every occurrence id lands.
+
+_REF_BIG = 1 << 60
+
+
+def _ref_prepare(s, neg):
+    if isinstance(s, One):
+        return ONE, frozenset(), 0
+    if isinstance(s, Atom):
+        out = Atom(s.name.complement(), s.uid) if neg else s
+        return out, frozenset((out.name.base,)), 0
+    if isinstance(s, Not):
+        return _ref_prepare(s.body, not neg)
+    if isinstance(s, (Seq, Par, CoPar)):
+        if isinstance(s, Seq):
+            cls = Seq
+        elif isinstance(s, Par):
+            cls = CoPar if neg else Par
+        else:
+            cls = Par if neg else CoPar
+        parts, frees, count = [], set(), 0
+        for p in s.parts:
+            q, f, c = _ref_prepare(p, neg)
+            frees |= f
+            count += c
+            if isinstance(q, One):
+                continue
+            if isinstance(q, cls):
+                parts.extend(q.parts)
+            else:
+                parts.append(q)
+        if not parts:
+            return ONE, frozenset(frees), count
+        if len(parts) == 1:
+            return parts[0], frozenset(frees), count
+        return cls(tuple(parts)), frozenset(frees), count
+    body, frees, count = _ref_prepare(s.body, neg)
+    if s.binder.base not in frees:
+        return body, frees, count
+    return Sdq(s.binder, body), frees - {s.binder.base}, count + 1
+
+
+def _ref_candidates(frees, count):
+    out, i = [], 0
+    while len(out) < count:
+        q, r = divmod(i, 26)
+        cand = chr(ord("a") + r) + (str(q) if q else "")
+        i += 1
+        if cand not in frees:
+            out.append(cand)
+    return out
+
+
+def _ref_canon(s, scope, depth, cands):
+    if isinstance(s, One):
+        return "1", ONE, _REF_BIG
+    if isinstance(s, Atom):
+        uid = s.uid if s.uid is not None else _REF_BIG
+        sign = "+" if s.name.positive else "-"
+        for i in range(len(scope) - 1, -1, -1):
+            if scope[i][0] == s.name.base:
+                dist = len(scope) - 1 - i
+                return (f"Ab{dist}{sign}",
+                        Atom(Name(scope[i][1], s.name.positive), s.uid), uid)
+        return f"Af{s.name.base}{sign}", s, uid
+    if isinstance(s, Seq):
+        triples = [_ref_canon(p, scope, depth, cands) for p in s.parts]
+        key = "S<" + ";".join(k for k, _, _ in triples) + ">"
+        return (key, Seq(tuple(t for _, t, _ in triples)),
+                min(u for _, _, u in triples))
+    if isinstance(s, (Par, CoPar)):
+        triples = [_ref_canon(p, scope, depth, cands) for p in s.parts]
+        triples.sort(key=lambda kt: (kt[0], kt[2]))
+        open_, close = ("P[", "]") if isinstance(s, Par) else ("C(", ")")
+        key = open_ + ";".join(k for k, _, _ in triples) + close
+        cls = Par if isinstance(s, Par) else CoPar
+        return (key, cls(tuple(t for _, t, _ in triples)),
+                min(u for _, _, u in triples))
+    chain, body = [], s
+    while isinstance(body, Sdq):
+        chain.append(body.binder.base)
+        body = body.body
+    k = len(chain)
+    orders = permutations(chain) if 1 < k <= 6 else iter([tuple(chain)])
+    best: Optional[tuple] = None
+    for order in orders:
+        inner = scope + tuple((b, cands[depth + i]) for i, b in enumerate(order))
+        got = _ref_canon(body, inner, depth + k, cands)
+        if best is None or got[0] < best[0]:
+            best = got
+    out = best[1]
+    for i in range(k - 1, -1, -1):
+        out = Sdq(Name(cands[depth + i]), out)
+    return f"Q{k}({best[0]})", out, best[2]
+
+
+def _ref_canonical(s):
+    core, frees, count = _ref_prepare(s, False)
+    key, out, _ = _ref_canon(core, (), 0, _ref_candidates(frees, count))
+    return key, out
+
+
+def _chain(binders, body):
+    for b in reversed(binders):
+        body = Sdq(Name(b), body)
+    return body
+
+
+def _permutation_work(s) -> int:
+    """Bodies the kernel canonicalizes for ``s``: chains of up to six
+    binders are tried in every order, nested chains multiply."""
+    if isinstance(s, Sdq):
+        k, body = 0, s
+        while isinstance(body, Sdq):
+            k, body = k + 1, body.body
+        orders = math.factorial(k) if k <= 6 else 1
+        return orders * _permutation_work(body)
+    if isinstance(s, Not):
+        return _permutation_work(s.body)
+    if isinstance(s, (Seq, Par, CoPar)):
+        return sum(_permutation_work(p) for p in s.parts)
+    return 1
+
+
+chained = st.builds(_chain, st.lists(st.sampled_from(BASES), min_size=1,
+                                     max_size=6), structures)
+kernel_inputs = st.one_of(
+    structures, chained,
+    st.builds(Par, _parts(st.one_of(structures, chained))),
+    st.builds(Not, st.builds(Seq, _parts(st.one_of(structures, chained)))),
+).filter(lambda s: _permutation_work(s) <= 5000).map(lambda s: assign_ids(s)[0])
+
+
+def _shuffle_commutative(s, rng):
+    """Numbered input whose commutative children are out of id order, so
+    that ties between equal keys are broken by the smallest id."""
+    if isinstance(s, (Par, CoPar)):
+        parts = [_shuffle_commutative(p, rng) for p in s.parts]
+        rng.shuffle(parts)
+        return type(s)(tuple(parts))
+    if isinstance(s, Seq):
+        return Seq(tuple(_shuffle_commutative(p, rng) for p in s.parts))
+    if isinstance(s, (Not, Sdq)):
+        body = _shuffle_commutative(s.body, rng)
+        return Not(body) if isinstance(s, Not) else Sdq(s.binder, body)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs, st.randoms(use_true_random=False))
+def test_kernel_agrees_with_reference_copy(s, rng):
+    s = _shuffle_commutative(s, rng)
+    key, out = _ref_canonical(s)
+    assert canonical_key(s) == key
+    got = canonicalize(s)
+    assert print_structure(got) == print_structure(out)
+    assert [a.uid for a in iter_atoms(got)] == [a.uid for a in iter_atoms(out)]
+
+
+# ---------------------------------------------------------------------------
+# the reach search key
+# ---------------------------------------------------------------------------
+
+def _marked_key(s, env_ids):
+    """The search key that marks live environment atoms in every state."""
+    live = env_ids & uid_set(s)
+    if not live:
+        return canonical_key(s), ()
+    return canonical_key(search._mark_env(s, live)), tuple(sorted(live))
+
+
+twin_names = st.builds(Name, st.sampled_from(["a", "b"]), st.booleans())
+twin_processes = st.recursive(
+    st.just(ZERO),
+    lambda sub: st.one_of(
+        st.builds(PPrefix, twin_names, sub),
+        st.builds(PPar, sub, sub),
+        st.builds(PNu, st.just(Name("b")), sub),
+    ),
+    max_leaves=5,
+)
+
+
+def _labels(p) -> list:
+    if isinstance(p, PPrefix):
+        return [p.label] + _labels(p.body)
+    if isinstance(p, PPar):
+        return _labels(p.left) + _labels(p.right)
+    if isinstance(p, PNu):
+        return _labels(p.body)
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_processes, st.data())
+def test_reach_key_splits_states_as_the_marked_key(e, data):
+    # observing labels the process also carries puts twins of the
+    # environment atoms into the states
+    labels = _labels(e)
+    assume(labels)
+    alpha = tuple(data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                     max_size=2)))
+    targets = [ZERO] + [f for f, _, _ in enumerate_reachable(e, 2)
+                        if is_simple_process(f)]
+    f = data.draw(st.sampled_from(targets))
+    seen = []
+    real = search._state_key
+
+    def recording(s, env_ids):
+        seen.append((s, env_ids))
+        return real(s, env_ids)
+
+    search._state_key = recording
+    try:
+        search.reach(e, f, alpha, search.SearchBudget(3000, 1500))
+    finally:
+        search._state_key = real
+    pairs = {(real(s, ids), _marked_key(s, ids)) for s, ids in seen}
+    assert len({new for new, _ in pairs}) == len(pairs)
+    assert len({old for _, old in pairs}) == len(pairs)

@@ -325,17 +325,20 @@ def test_reach_with_structured_target():
 
 def test_reach_with_twin_occurrences_of_the_observed_label():
     # the process keeps its own copy of the observed label; only the
-    # environment occurrence may be consumed
+    # environment occurrence may be consumed.  Only states with such
+    # twins are keyed by a marked copy; the search counts are those of
+    # marking every state.
     cases = [
-        ("x.~b.0|b.0", "b.0", "x;~b"),
-        ("a.0|~a.~d.0", "a.0|~d.0", "~a"),
-        ("b.0|(x.~b.0|b.0)", "b.0|b.0", "x;~b"),
+        ("x.~b.0|b.0", "b.0", "x;~b", 536, 204),
+        ("a.0|~a.~d.0", "a.0|~d.0", "~a", 53, 40),
+        ("b.0|(x.~b.0|b.0)", "b.0|b.0", "x;~b", 1779, 785),
     ]
-    for e_t, f_t, a_t in cases:
+    for e_t, f_t, a_t, steps, visited in cases:
         e, f, alpha = parse_process(e_t), parse_process(f_t), parse_actions(a_t)
         assert lts_reachable(e, f, alpha, 6) is not None
         v = reach(e, f, alpha)
         assert v.proved, (e_t, f_t, a_t)
+        assert (v.stats.steps, v.stats.visited) == (steps, visited)
 
 
 def test_reach_agrees_with_oracle_spot_checks():

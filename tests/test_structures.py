@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bvq.structures import (
-    Atom, Name, Not, ONE, Par, Sdq, Seq, StructureError, canonical_key,
+    Atom, Name, Not, ONE, Par, Sdq, Seq, StructureError, atom, canonical_key,
     canonicalize, congruent, names, negate, parse_structure, print_structure,
     replace_at, size, strip_ids,
 )
@@ -35,6 +35,15 @@ def test_parse_rejects_deep_nesting_with_its_own_error():
     deep = "<a;" * 1200 + "b" + ">" * 1200
     with pytest.raises(StructureError, match="^input nests too deeply$"):
         parse_structure(deep)
+
+
+def test_canonicalize_rejects_deep_nesting_with_its_own_error():
+    deep = atom("b")
+    for _ in range(1200):
+        deep = Seq((atom("a"), deep))
+    for fn in (canonicalize, canonical_key):
+        with pytest.raises(StructureError, match="^input nests too deeply$"):
+            fn(deep)
 
 
 def test_roundtrip_on_canonical_forms():
