@@ -66,11 +66,11 @@ class RuleInstance:
 
     def consumed_uids(self) -> tuple[int, ...]:
         """Sorted occurrence ids of every consumed atom, -1 for unnumbered;
-        computed once per instance."""
+        computed once per instance, or once per ``q_down`` pair and
+        shared by its instances."""
         got = getattr(self, "_uids", None)
         if got is None:
-            got = tuple(sorted(a.uid if a.uid is not None else -1
-                               for c in self.consumed for a in iter_atoms(c)))
+            got = _occurrence_ids(self.consumed)
             object.__setattr__(self, "_uids", got)
         return got
 
@@ -78,6 +78,11 @@ class RuleInstance:
         return (_RULE_ORDER.get(self.rule, 9), self.path,
                 tuple(canonical_key(c) for c in self.consumed),
                 canonical_key(self.replacement), self.consumed_uids())
+
+
+def _occurrence_ids(structures: tuple[Structure, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a.uid if a.uid is not None else -1
+                        for c in structures for a in iter_atoms(c)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,15 +187,19 @@ def _node_instances(node: Par, path: Context, fragment: frozenset[str]) -> Itera
                     yield RuleInstance(AI_DOWN, path, (a, b), ONE,
                                        _atom_id(a) | _atom_id(b))
     if Q_DOWN in fragment:
+        splits = [_splits(p) for p in parts]
         for i in range(n):
             for j in range(i + 1, n):
-                for h1, t1 in _splits(parts[i]):
-                    for h2, t2 in _splits(parts[j]):
+                pair = (parts[i], parts[j])
+                uids = _occurrence_ids(pair)
+                for h1, t1 in splits[i]:
+                    for h2, t2 in splits[j]:
                         if h1 is h2 is ONE or t1 is t2 is ONE:
                             continue
                         repl = mk_seq([mk_par([h1, h2]), mk_par([t1, t2])])
-                        yield RuleInstance(Q_DOWN, path, (parts[i], parts[j]),
-                                           repl, frozenset())
+                        inst = RuleInstance(Q_DOWN, path, pair, repl, frozenset())
+                        object.__setattr__(inst, "_uids", uids)
+                        yield inst
     if U_DOWN in fragment:
         for i in range(n):
             if not isinstance(parts[i], Sdq):

@@ -100,15 +100,20 @@ def _mark_env(s: Structure, live: frozenset[int]) -> Structure:
     return s
 
 
-def _state_key(s: Structure, env_ids: frozenset[int]
-               ) -> tuple[str, tuple[int, ...]]:
-    """Search key of a canonical state: its canonical key, made from a
-    copy with live environment atoms marked when they have twins, and
-    the sorted ids of the environment atoms it still holds.
+def _search(start: Structure, fragment: str, budget: SearchBudget,
+            goal_key: Optional[str], env_ids: frozenset[int] = frozenset()
+            ) -> SearchOutcome:
+    """Breadth-first bottom-up closure from a canonical annotated start.
+    The goal is any state matching ``goal_key`` (the unit when None)
+    whose tracked environment atoms have all been consumed.
 
-    A twin is an atom outside the live set with the name (base and
-    polarity) of a live one.  Without twins the plain key splits states
-    exactly as the marked key would:
+    A search state is ``(structure, present ids, live ids, twins)``: the
+    occurrence ids the structure holds, the sorted ids of the
+    environment atoms among them, and whether an atom outside the live
+    set has the name (base and polarity) of a live one.  Its key is the
+    canonical key, made from a copy with live atoms marked when the
+    state has twins, and the live ids.  Without twins the plain key
+    splits states exactly as the marked key would:
 
     * live environment atoms are never bound, because ``u_down`` refuses
       a capture and canonical binder names avoid every free base, so
@@ -126,48 +131,55 @@ def _state_key(s: Structure, env_ids: frozenset[int]
       plain key never equals a marked one, which holds a marked name.
 
     So the marked copy is built and canonicalized only for twin states.
+    The live ids and the twin flag are functions of the present ids, and
+    only an interaction changes those (it consumes two occurrences;
+    ``q_down``, ``u_down`` and ``switch`` neither create nor delete one),
+    so they are recomputed for interaction successors only, from a table
+    of the start's names.  The table stays exact: free atoms keep their
+    names, and bound atoms stay bound under canonical names that avoid
+    every free base, in the start as in every later state, so a bound
+    atom never has the name of a live one.
     """
-    if not env_ids:
-        return canonical_key(s), ()
-    live: list[Atom] = []
-    others: list[Atom] = []
-    for a in iter_atoms(s):
-        (live if a.uid in env_ids else others).append(a)
-    if not live:
-        return canonical_key(s), ()
-    ids = tuple(sorted(a.uid for a in live))
-    live_names = {(a.name.base, a.name.positive) for a in live}
-    if any((a.name.base, a.name.positive) in live_names for a in others):
-        return canonical_key(_mark_env(s, frozenset(ids))), ids
-    return canonical_key(s), ids
-
-
-def _search(start: Structure, fragment: str, budget: SearchBudget,
-            goal_key: Optional[str], env_ids: frozenset[int] = frozenset()
-            ) -> SearchOutcome:
-    """Breadth-first bottom-up closure from a canonical annotated start.
-    The goal is any state matching ``goal_key`` (the unit when None)
-    whose tracked environment atoms have all been consumed."""
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
     if fragment == "standard" and not is_tensor_free(start):
         raise SearchError("the standard fragment handles Tensor-free goals only")
     want = goal_key if goal_key is not None else "1"
+    names = {a.uid: a.name for a in iter_atoms(start)}
 
-    def successors(s: Structure):
+    def carried(s: Structure, present: frozenset[int]):
+        live = tuple(sorted(present & env_ids))
+        if not live:
+            return s, present, live, False
+        live_names = {names[u] for u in live}
+        return s, present, live, any(names[u] in live_names
+                                     for u in present - env_ids)
+
+    def key(state) -> tuple[str, tuple[int, ...]]:
+        s, _, live, twins = state
+        if twins:
+            return canonical_key(_mark_env(s, frozenset(live))), live
+        return canonical_key(s), live
+
+    def successors(state):
+        s, present, live, twins = state
         for inst in enumerate_instances(s, _SEARCH_RULES):
-            if fragment == "standard" and inst.rule == AI_DOWN:
+            if inst.rule != AI_DOWN:
+                yield inst, (apply_instance(s, inst), present, live, twins)
+                continue
+            if fragment == "standard":
                 if seq_number(s, inst.path) != 0:
                     continue
                 inst = replace(inst, rule=AI_DOWN_LEFT)
-            yield inst, apply_instance(s, inst)
+            yield inst, carried(apply_instance(s, inst),
+                                present - inst.consumed_ids)
 
     path, exhausted, steps, visited = breadth_first(
-        start, lambda s: _state_key(s, env_ids), successors,
+        carried(start, uid_set(start)), key, successors,
         lambda k: k[0] == want and not k[1],
         budget.max_steps, budget.max_visited)
     d = None if path is None else \
-        Derivation(start, tuple(Step(inst, s) for inst, s in path))
+        Derivation(start, tuple(Step(inst, st[0]) for inst, st in path))
     return SearchOutcome(d, exhausted, steps, visited)
 
 

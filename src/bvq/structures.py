@@ -91,6 +91,11 @@ class StructureError(ValueError):
     pass
 
 
+# the message parsing, canonicalization and the recursive walks below
+# raise instead of a RecursionError
+_TOO_DEEP = "input nests too deeply"
+
+
 def atom(base: str, positive: bool = True, uid: Optional[int] = None) -> Atom:
     return Atom(Name(base, positive), uid)
 
@@ -227,7 +232,7 @@ def parse_structure(text: str) -> Structure:
     try:
         s = _parse_struct(sc)
     except RecursionError:
-        raise StructureError("input nests too deeply") from None
+        raise StructureError(_TOO_DEEP) from None
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")
@@ -235,21 +240,24 @@ def parse_structure(text: str) -> Structure:
 
 
 def print_structure(s: Structure) -> str:
-    if isinstance(s, One):
-        return "1"
-    if isinstance(s, Atom):
-        return str(s.name)
-    if isinstance(s, Seq):
-        return "<" + ";".join(print_structure(p) for p in s.parts) + ">"
-    if isinstance(s, Par):
-        return "[" + ";".join(print_structure(p) for p in s.parts) + "]"
-    if isinstance(s, CoPar):
-        return "(" + ";".join(print_structure(p) for p in s.parts) + ")"
-    if isinstance(s, Not):
-        return "~" + print_structure(s.body)
-    if isinstance(s, Sdq):
-        return f"fo {s.binder.base}.{print_structure(s.body)}"
-    raise TypeError(f"not a structure: {s!r}")
+    try:
+        if isinstance(s, One):
+            return "1"
+        if isinstance(s, Atom):
+            return str(s.name)
+        if isinstance(s, Seq):
+            return "<" + ";".join(print_structure(p) for p in s.parts) + ">"
+        if isinstance(s, Par):
+            return "[" + ";".join(print_structure(p) for p in s.parts) + "]"
+        if isinstance(s, CoPar):
+            return "(" + ";".join(print_structure(p) for p in s.parts) + ")"
+        if isinstance(s, Not):
+            return "~" + print_structure(s.body)
+        if isinstance(s, Sdq):
+            return f"fo {s.binder.base}.{print_structure(s.body)}"
+        raise TypeError(f"not a structure: {s!r}")
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +266,26 @@ def print_structure(s: Structure) -> str:
 
 def nnf(s: Structure, neg: bool = False) -> Structure:
     """Push negation inward to the atoms (units and Seq are self-dual)."""
-    if isinstance(s, One):
-        return ONE
-    if isinstance(s, Atom):
-        return Atom(s.name.complement(), s.uid) if neg else s
-    if isinstance(s, Not):
-        return nnf(s.body, not neg)
-    if isinstance(s, Seq):
-        return Seq(tuple(nnf(p, neg) for p in s.parts))
-    if isinstance(s, Par):
-        cls = CoPar if neg else Par
-        return cls(tuple(nnf(p, neg) for p in s.parts))
-    if isinstance(s, CoPar):
-        cls = Par if neg else CoPar
-        return cls(tuple(nnf(p, neg) for p in s.parts))
-    if isinstance(s, Sdq):
-        return Sdq(s.binder, nnf(s.body, neg))
-    raise TypeError(f"not a structure: {s!r}")
+    try:
+        if isinstance(s, One):
+            return ONE
+        if isinstance(s, Atom):
+            return Atom(s.name.complement(), s.uid) if neg else s
+        if isinstance(s, Not):
+            return nnf(s.body, not neg)
+        if isinstance(s, Seq):
+            return Seq(tuple(nnf(p, neg) for p in s.parts))
+        if isinstance(s, Par):
+            cls = CoPar if neg else Par
+            return cls(tuple(nnf(p, neg) for p in s.parts))
+        if isinstance(s, CoPar):
+            cls = Par if neg else CoPar
+            return cls(tuple(nnf(p, neg) for p in s.parts))
+        if isinstance(s, Sdq):
+            return Sdq(s.binder, nnf(s.body, neg))
+        raise TypeError(f"not a structure: {s!r}")
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def negate(s: Structure) -> Structure:
@@ -514,7 +525,7 @@ def _canonical(s: Structure) -> tuple[str, Structure]:
         cands = _binder_candidates(frees, len(binders)) if binders else []
         key, out, _ = _canon(core, (), 0, cands)
     except RecursionError:
-        raise StructureError("input nests too deeply") from None
+        raise StructureError(_TOO_DEEP) from None
     pair = (key, out)
     object.__setattr__(s, "_cc", pair)
     if out is not s:
@@ -588,13 +599,16 @@ def replace_at(s: Structure, path: Context, new: Structure) -> Structure:
 
 
 def iter_atoms(s: Structure) -> Iterator[Atom]:
-    if isinstance(s, Atom):
-        yield s
-    elif isinstance(s, (Seq, Par, CoPar)):
-        for p in s.parts:
-            yield from iter_atoms(p)
-    elif isinstance(s, (Sdq, Not)):
-        yield from iter_atoms(s.body)
+    try:
+        if isinstance(s, Atom):
+            yield s
+        elif isinstance(s, (Seq, Par, CoPar)):
+            for p in s.parts:
+                yield from iter_atoms(p)
+        elif isinstance(s, (Sdq, Not)):
+            yield from iter_atoms(s.body)
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def iter_atom_paths(s: Structure, prefix: Context = ()) -> Iterator[tuple[Context, Atom]]:
@@ -629,7 +643,10 @@ def assign_ids(s: Structure, start: int = 0) -> tuple[Structure, int]:
             return Not(walk(t.body))
         return t
 
-    return walk(s), counter
+    try:
+        return walk(s), counter
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def uid_set(s: Structure) -> frozenset[int]:
@@ -637,28 +654,34 @@ def uid_set(s: Structure) -> frozenset[int]:
 
 
 def strip_ids(s: Structure) -> Structure:
-    if isinstance(s, Atom):
-        return Atom(s.name, None)
-    if isinstance(s, (Seq, Par, CoPar)):
-        return type(s)(tuple(strip_ids(p) for p in s.parts))
-    if isinstance(s, Sdq):
-        return Sdq(s.binder, strip_ids(s.body))
-    if isinstance(s, Not):
-        return Not(strip_ids(s.body))
-    return s
+    try:
+        if isinstance(s, Atom):
+            return Atom(s.name, None)
+        if isinstance(s, (Seq, Par, CoPar)):
+            return type(s)(tuple(strip_ids(p) for p in s.parts))
+        if isinstance(s, Sdq):
+            return Sdq(s.binder, strip_ids(s.body))
+        if isinstance(s, Not):
+            return Not(strip_ids(s.body))
+        return s
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def erase_atoms(s: Structure, kill: frozenset[int]) -> Structure:
     """Replace the atoms whose uid is in ``kill`` by the unit."""
-    if isinstance(s, Atom):
-        return ONE if s.uid in kill else s
-    if isinstance(s, (Seq, Par, CoPar)):
-        return type(s)(tuple(erase_atoms(p, kill) for p in s.parts))
-    if isinstance(s, Sdq):
-        return Sdq(s.binder, erase_atoms(s.body, kill))
-    if isinstance(s, Not):
-        return Not(erase_atoms(s.body, kill))
-    return s
+    try:
+        if isinstance(s, Atom):
+            return ONE if s.uid in kill else s
+        if isinstance(s, (Seq, Par, CoPar)):
+            return type(s)(tuple(erase_atoms(p, kill) for p in s.parts))
+        if isinstance(s, Sdq):
+            return Sdq(s.binder, erase_atoms(s.body, kill))
+        if isinstance(s, Not):
+            return Not(erase_atoms(s.body, kill))
+        return s
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def find_uid_path(s: Structure, uid: int) -> Optional[Context]:

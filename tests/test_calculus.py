@@ -243,7 +243,8 @@ def _described(inst):
     return (inst.rule, inst.path,
             tuple((print_structure(c), tuple(a.uid for a in iter_atoms(c)))
                   for c in inst.consumed),
-            print_structure(inst.replacement), inst.consumed_ids)
+            print_structure(inst.replacement), inst.consumed_ids,
+            inst.consumed_uids())
 
 
 _names = st.builds(Name, st.sampled_from("abc"), st.booleans())

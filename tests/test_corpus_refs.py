@@ -10,8 +10,10 @@ its output and checked again.  The composed proof is checked inside
 ``reach`` only: its printed occurrence ids follow the numbering of the
 standard derivation, not the left-to-right numbering that
 ``derivation_from_dict`` assigns, so it does not always read back.
-Reach outputs are not compared by digest, because part of the reach
-references predate printing Par components in structure-key order."""
+The search's ``stats.steps`` and ``stats.visited`` of each sampled
+reach operation are pinned.  Reach outputs are not compared by digest,
+because part of the reach references predate printing Par components in
+structure-key order."""
 
 import json
 import os
@@ -39,6 +41,27 @@ import ops  # noqa: E402
 SAMPLED = [(w, op) for w in ("prove_closure", "standardize_battery")
            for op in corpus.load(w)["ops"][::20]]
 REACH = corpus.load("reach_oracle")["ops"][::20]
+# stats.steps and stats.visited of each sampled reach operation, by id:
+# a change to the state space the search explores changes these
+REACH_STATS = {
+    0: (0, 1), 20: (497, 140), 40: (511, 142), 60: (0, 1), 80: (3, 4),
+    100: (0, 1), 120: (4194, 822), 140: (0, 1), 160: (0, 1), 180: (0, 1),
+    200: (3, 4), 220: (3, 4), 240: (495, 140), 260: (1, 2), 280: (0, 1),
+    300: (0, 1), 320: (6, 7), 340: (1, 2), 360: (0, 1), 380: (0, 1),
+    400: (9, 7), 420: (9, 7), 440: (0, 1), 460: (9, 7), 480: (37, 20),
+    500: (0, 1), 520: (37, 20), 540: (923, 256), 560: (175, 63),
+    580: (497, 140), 600: (9, 7), 620: (205, 63), 640: (497, 140),
+    660: (314, 91), 687: (0, 1), 707: (0, 1), 727: (18, 11), 747: (0, 1),
+    767: (0, 1), 787: (1, 2), 807: (0, 1), 827: (1422, 589), 853: (0, 1),
+    873: (9, 7), 893: (130, 48), 913: (45, 22), 933: (543, 203), 953: (3, 4),
+    973: (0, 1), 993: (7, 7), 1017: (3, 4), 1037: (1, 2), 1057: (0, 1),
+    1077: (0, 1), 1097: (0, 1), 1117: (45, 22), 1137: (1, 2), 1157: (0, 1),
+    1177: (3, 4), 1197: (0, 1), 1217: (3, 4), 1237: (1, 2), 1257: (21, 11),
+    1277: (0, 1), 1297: (1, 2), 1317: (807, 205), 1337: (37, 20),
+    1357: (45, 22), 1377: (0, 1), 1397: (0, 1), 1417: (37, 20),
+    1437: (893, 260), 1457: (0, 1), 1477: (9, 7), 1497: (0, 1), 1517: (7, 7),
+    1537: (126, 48), 1557: (1457, 338), 1577: (0, 1), 1597: (495, 140),
+}
 
 
 @pytest.mark.parametrize("op", [op for _, op in SAMPLED],
@@ -53,9 +76,11 @@ def test_output_matches_frozen_reference(op):
 def test_reach_verdict_and_certificates_check(op):
     res = ops.execute(op)
     assert ops.check("reach_oracle", op, res) is None
+    payload = json.loads(res.out)
+    stats = payload["stats"]
+    assert (stats["steps"], stats["visited"]) == REACH_STATS[op["id"]]
     if res.rc != 0:
         return
-    payload = json.loads(res.out)
     _, e_t, f_t, a_t, *_ = op["argv"]
     e, f, alpha = parse_process(e_t), parse_process(f_t), parse_actions(a_t)
     standard = derivation_from_dict(payload["standardDerivation"])

@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from bvq import search
 from bvq.ccsr import (
     PNu, PPar, PPrefix, ProcessError, ZERO, enumerate_reachable,
-    is_simple_process, parse_process, print_process, process_congruent,
-    process_key,
+    is_simple_process, parse_actions, parse_process, print_process,
+    process_congruent, process_key,
 )
 from bvq.structures import (
     Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, StructureError,
@@ -379,6 +379,52 @@ def _labels(p) -> list:
     return []
 
 
+def _walked(s, env_ids):
+    """A state's occurrence bookkeeping recomputed by walking it: present
+    ids, sorted live environment ids and whether it has twins."""
+    live = [a for a in iter_atoms(s) if a.uid in env_ids]
+    live_names = {a.name for a in live}
+    twins = any(a.name in live_names for a in iter_atoms(s)
+                if a.uid not in env_ids)
+    return uid_set(s), tuple(sorted(a.uid for a in live)), twins
+
+
+def _check_reach_keys(e, f, alpha) -> list:
+    """Decide ``e -> f with alpha`` recording every state each search
+    keys and the key it takes; check each state's carried bookkeeping
+    against a walk of it, and that the keys split the states as the
+    always-marked key does.  Returns the recorded states."""
+    calls = []  # (environment ids, [(state, key), ...]) per search
+    real_bfs, real_search = search.breadth_first, search._search
+
+    def recording_search(start, fragment, budget, goal_key, env_ids=frozenset()):
+        calls.append((env_ids, []))
+        return real_search(start, fragment, budget, goal_key, env_ids)
+
+    def recording_bfs(start, key, *rest):
+        seen = calls[-1][1]
+
+        def keyed(state):
+            k = key(state)
+            seen.append((state, k))
+            return k
+        return real_bfs(start, keyed, *rest)
+
+    search.breadth_first, search._search = recording_bfs, recording_search
+    try:
+        search.reach(e, f, alpha, search.SearchBudget(3000, 1500))
+    finally:
+        search.breadth_first, search._search = real_bfs, real_search
+    assert calls and calls[0][1]
+    for env_ids, seen in calls:
+        for state, _ in seen:
+            assert state[1:] == _walked(state[0], env_ids)
+        pairs = {(k, _marked_key(state[0], env_ids)) for state, k in seen}
+        assert len({new for new, _ in pairs}) == len(pairs)
+        assert len({old for _, old in pairs}) == len(pairs)
+    return [state for _, seen in calls for state, _ in seen]
+
+
 @settings(max_examples=60, deadline=None)
 @given(twin_processes, st.data())
 def test_reach_key_splits_states_as_the_marked_key(e, data):
@@ -391,18 +437,10 @@ def test_reach_key_splits_states_as_the_marked_key(e, data):
     targets = [ZERO] + [f for f, _, _ in enumerate_reachable(e, 2)
                         if is_simple_process(f)]
     f = data.draw(st.sampled_from(targets))
-    seen = []
-    real = search._state_key
+    _check_reach_keys(e, f, alpha)
 
-    def recording(s, env_ids):
-        seen.append((s, env_ids))
-        return real(s, env_ids)
 
-    search._state_key = recording
-    try:
-        search.reach(e, f, alpha, search.SearchBudget(3000, 1500))
-    finally:
-        search._state_key = real
-    pairs = {(real(s, ids), _marked_key(s, ids)) for s, ids in seen}
-    assert len({new for new, _ in pairs}) == len(pairs)
-    assert len({old for _, old in pairs}) == len(pairs)
+def test_reach_key_on_a_judgment_with_twin_states():
+    states = _check_reach_keys(parse_process("~e.e.~a.0"), parse_process("~a.0"),
+                               parse_actions("~e;e;~a"))
+    assert any(twins for _, _, _, twins in states)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from bvq.structures import (
-    Atom, Name, Not, ONE, Par, Sdq, Seq, StructureError, atom, canonical_key,
-    canonicalize, congruent, names, negate, parse_structure, print_structure,
-    replace_at, size, strip_ids,
+    Atom, Name, Not, ONE, Par, Sdq, Seq, StructureError, assign_ids, atom,
+    canonical_key, canonicalize, congruent, erase_atoms, iter_atoms, names,
+    negate, nnf, parse_structure, print_structure, replace_at, size,
+    strip_ids, uid_set,
 )
 
 
@@ -44,6 +45,19 @@ def test_canonicalize_rejects_deep_nesting_with_its_own_error():
     for fn in (canonicalize, canonical_key):
         with pytest.raises(StructureError, match="^input nests too deeply$"):
             fn(deep)
+
+
+@pytest.mark.parametrize("walk", [
+    print_structure, nnf, negate, lambda s: list(iter_atoms(s)), assign_ids,
+    strip_ids, lambda s: erase_atoms(s, frozenset({0})), uid_set,
+], ids=["print_structure", "nnf", "negate", "iter_atoms", "assign_ids",
+        "strip_ids", "erase_atoms", "uid_set"])
+def test_recursive_walks_reject_deep_nesting_with_their_own_error(walk):
+    deep = atom("b", uid=0)
+    for i in range(1200):
+        deep = Seq((atom("a", uid=i + 1), deep))
+    with pytest.raises(StructureError, match="^input nests too deeply$"):
+        walk(deep)
 
 
 def test_roundtrip_on_canonical_forms():

@@ -1,0 +1,105 @@
+"""Compare two source trees on the frozen benchmark corpus.
+
+Runs every operation of ``bench/corpus`` (or every k-th) under this
+checkout's ``src`` and under the ``src`` of ``--against DIR``, each tree
+in one subprocess of its own, the two side by side.  Both run the
+operations with this checkout's ``bench/ops.py`` and read this
+checkout's corpus files, so only the code under test differs.  Reports
+every operation whose exit code, output digest (``ops.output_digest``:
+the output without its ``stats``) or ``stats.steps``/``stats.visited``
+differ, and exits 1 on any difference, 0 when every operation agrees.
+
+    python3 tools/corpus_diff.py --against ../parent
+    python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+WORKLOADS = ("reach_oracle", "prove_closure", "standardize_battery")
+FIELDS = ("rc", "digest", "steps", "visited")
+
+
+def run_ops(workloads: list[str], every: int) -> None:
+    """Worker: run the selected operations with whatever ``bvq`` is on the
+    path and print one JSON line per operation."""
+    sys.path.insert(0, BENCH)
+    import corpus
+    import ops
+
+    for w in workloads:
+        for op in corpus.load(w)["ops"][::every]:
+            res = ops.execute(op)
+            try:
+                stats = json.loads(res.out).get("stats") or {}
+            except (ValueError, AttributeError):
+                stats = {}
+            print(json.dumps({"workload": w, "id": op["id"], "rc": res.rc,
+                              "digest": ops.output_digest(res.out),
+                              "steps": stats.get("steps"),
+                              "visited": stats.get("visited")}), flush=True)
+
+
+def _spawn(tree: str, workloads: list[str], every: int, out) -> subprocess.Popen:
+    """Start the worker under ``tree``'s ``src``, writing to the file
+    ``out`` (not a pipe, so neither worker waits for the other's reader)."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isdir(os.path.join(src, "bvq")):
+        raise SystemExit(f"corpus_diff: no src/bvq under {tree}")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker",
+           "--every", str(every), "--workload", *workloads]
+    return subprocess.Popen(cmd, stdout=out, env=env, text=True)
+
+
+def _records(proc: subprocess.Popen, out, tree: str) -> dict:
+    if proc.wait() != 0:
+        raise SystemExit(f"corpus_diff: the run under {tree} failed "
+                         f"(exit {proc.returncode})")
+    out.seek(0)
+    recs = (json.loads(line) for line in out)
+    return {(r["workload"], r["id"]): r for r in recs}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", help="root of the tree to compare with")
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS,
+                    default=list(WORKLOADS))
+    ap.add_argument("--every", type=int, default=1,
+                    help="run every k-th operation of each corpus")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.every < 1:
+        ap.error("--every must be positive")
+    if args.worker:
+        run_ops(args.workload, args.every)
+        return 0
+    if not args.against:
+        ap.error("--against is required")
+    trees = (ROOT, args.against)
+    with tempfile.TemporaryFile("w+") as a, tempfile.TemporaryFile("w+") as b:
+        procs = [_spawn(t, args.workload, args.every, f)
+                 for t, f in zip(trees, (a, b))]
+        here, there = (_records(p, f, t) for p, f, t in zip(procs, (a, b), trees))
+    differ = 0
+    for key in sorted(here):
+        a, b = here[key], there[key]
+        diffs = [f"{f} {a[f]} (here) vs {b[f]}" for f in FIELDS if a[f] != b[f]]
+        if diffs:
+            differ += 1
+            print(f"{key[0]} {key[1]}: " + "; ".join(diffs))
+    print(f"{len(here)} ops compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
