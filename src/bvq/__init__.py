@@ -2,7 +2,7 @@
 certified reachability for a process calculus with logic restriction."""
 
 from .structures import (
-    Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, Structure,
+    Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure,
     canonical_key, canonicalize, congruent, names, negate, parse_structure,
     print_structure, size,
 )

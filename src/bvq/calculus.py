@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .structures import (
-    Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
+    _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
     assign_ids, canonical_key, canonicalize, free_bases, iter_atoms, mk_copar,
     mk_par, mk_seq, parse_structure, print_structure, negate, replace_at,
     strip_ids, subterm_at, uid_set,
@@ -153,16 +153,19 @@ def _splits(s: Structure) -> list[tuple[Structure, Structure]]:
 
 
 def _par_nodes(s: Structure, prefix: Context = ()) -> Iterator[tuple[Context, Par]]:
-    if isinstance(s, Par):
-        yield prefix, s
-        for i, p in enumerate(s.parts):
-            yield from _par_nodes(p, prefix + (("par", i),))
-    elif isinstance(s, (Seq, CoPar)):
-        op = "seq" if isinstance(s, Seq) else "copar"
-        for i, p in enumerate(s.parts):
-            yield from _par_nodes(p, prefix + ((op, i),))
-    elif isinstance(s, Sdq):
-        yield from _par_nodes(s.body, prefix + (("fo", 0),))
+    try:
+        if isinstance(s, Par):
+            yield prefix, s
+            for i, p in enumerate(s.parts):
+                yield from _par_nodes(p, prefix + (("par", i),))
+        elif isinstance(s, (Seq, CoPar)):
+            op = "seq" if isinstance(s, Seq) else "copar"
+            for i, p in enumerate(s.parts):
+                yield from _par_nodes(p, prefix + ((op, i),))
+        elif isinstance(s, Sdq):
+            yield from _par_nodes(s.body, prefix + (("fo", 0),))
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def _subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -409,9 +412,8 @@ def seq_number(host: Structure, path: Context) -> int:
 
 def is_right_context(host: Structure, path: Context) -> bool:
     """True when the hole at ``path`` never sits right of non-unit Seq
-    material and never under CoPar or negation."""
-    return all(op not in ("copar", "not") for op, _ in path) and \
-        seq_number(host, path) == 0
+    material and never under CoPar."""
+    return all(op != "copar" for op, _ in path) and seq_number(host, path) == 0
 
 
 def _schema_ok(cur: Structure, inst: RuleInstance) -> bool:
@@ -534,14 +536,14 @@ def check_derivation(d: Derivation, system: str = "down") -> bool:
 
 def derivation_to_dict(d: Derivation) -> dict:
     return {
-        "conclusion": print_structure(strip_ids(d.conclusion)),
-        "premise": print_structure(strip_ids(d.premise)),
+        "conclusion": print_structure(d.conclusion),
+        "premise": print_structure(d.premise),
         "steps": [
             {
                 "rule": st.rule,
                 "path": [[op, idx] for op, idx in st.instance.path],
-                "redexBefore": print_structure(strip_ids(st.instance.conclusion_redex)),
-                "redexAfter": print_structure(strip_ids(st.instance.replacement)),
+                "redexBefore": print_structure(st.instance.conclusion_redex),
+                "redexAfter": print_structure(st.instance.replacement),
                 "consumedIds": sorted(st.instance.consumed_ids),
             }
             for st in d.steps
@@ -589,16 +591,16 @@ def derivation_from_dict(data: dict) -> Derivation:
 
 def format_derivation(d: Derivation) -> str:
     """Human-readable bottom-up listing (premise on top)."""
-    lines = [print_structure(strip_ids(d.premise))]
+    lines = [print_structure(d.premise)]
     for st in reversed(d.steps):
         inst = st.instance
         pth = "".join(f".{op}{idx}" for op, idx in inst.path) or ".root"
         lines.append(f"--{inst.rule} @{pth}  "
-                     f"{print_structure(strip_ids(inst.conclusion_redex))}"
-                     f" ~> {print_structure(strip_ids(inst.replacement))}")
+                     f"{print_structure(inst.conclusion_redex)}"
+                     f" ~> {print_structure(inst.replacement)}")
         below = d.conclusion
         idx = d.steps.index(st)
         if idx > 0:
             below = d.steps[idx - 1].result
-        lines.append(print_structure(strip_ids(below)))
+        lines.append(print_structure(below))
     return "\n".join(lines)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .structures import (
-    _IDENT_START, Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, Structure,
+    _IDENT_START, Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure,
     _Scanner, canonical_key, canonicalize, mk_seq,
 )
 
@@ -250,8 +250,6 @@ def from_structure(s: Structure) -> Process:
         return PNu(s.binder, from_structure(s.body))
     if isinstance(s, CoPar):
         raise BridgeError("CoPar does not occur in process structures")
-    if isinstance(s, Not):
-        raise BridgeError("negation does not occur in process structures")
     raise TypeError(f"not a structure: {s!r}")
 
 

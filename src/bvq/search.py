@@ -41,8 +41,8 @@ from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
     canonical_key, canonicalize, erase_atoms, is_tensor_free, iter_atoms,
-    mk_copar, mk_par, mk_seq, negate, replace_at, strip_ids, subterm_at,
-    uid_set,
+    map_atoms, mk_copar, mk_par, mk_seq, negate, replace_at, strip_ids,
+    subterm_at, uid_set,
 )
 
 
@@ -89,15 +89,8 @@ def _mark_env(s: Structure, live: frozenset[int]) -> Structure:
     """Tag the names of live environment atoms so the canonical key
     distinguishes states that only differ in which twin occurrence the
     environment still owns (those futures genuinely differ)."""
-    if isinstance(s, Atom):
-        if s.uid in live:
-            return Atom(Name(s.name.base + _ENV_MARK, s.name.positive), s.uid)
-        return s
-    if isinstance(s, (Seq, Par, CoPar)):
-        return type(s)(tuple(_mark_env(p, live) for p in s.parts))
-    if isinstance(s, Sdq):
-        return Sdq(s.binder, _mark_env(s.body, live))
-    return s
+    return map_atoms(s, lambda a: a if a.uid not in live else
+                     Atom(Name(a.name.base + _ENV_MARK, a.name.positive), a.uid))
 
 
 def _search(start: Structure, fragment: str, budget: SearchBudget,
@@ -122,8 +115,8 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
       along the search, so two states with the same live ids undergo the
       same renaming, and without twins it is injective on names (marked
       names carry a character no parsed name has);
-    * on ``Not``-free canonical states, such a renaming preserves and
-      reflects congruence (units, associativity, commutativity and
+    * on canonical states, such a renaming preserves and reflects
+      congruence (units, associativity, commutativity and
       binder renaming and reordering never compare two different free
       names; up to the chain cap of ``structures._MAX_CHAIN_PERms``);
     * whether a state has twins is read from the free names of its
@@ -444,7 +437,7 @@ def _invert_recipe(nt: Structure, p: Structure, proof: Derivation,
 
 def _proc_of(s: Structure) -> Process:
     """The canonical process read from a canonical process structure."""
-    return canonical_process(from_structure(strip_ids(s)))
+    return canonical_process(from_structure(s))
 
 
 def _split_conclusion(concl: Structure, env_ids: frozenset[int]
@@ -803,7 +796,7 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
     """Extend a standard derivation of ``[<e>; R]`` from ``<f>`` into a
     proof of ``[<e>; negate(<f>); R]`` by annihilating the target against
     its negation."""
-    nf = canonicalize(negate(strip_ids(f_struct)))
+    nf = canonicalize(negate(f_struct))
     if canonical_key(nf) == "1":
         return standard
     base = max(uid_set(standard.conclusion), default=-1) + 1
@@ -816,7 +809,7 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
                    beside)
     if lower is None:
         raise SearchError("could not replay a step in context")
-    inter = _interaction_proof(canonicalize(strip_ids(f_struct)), budget)
+    inter = _interaction_proof(f_struct, budget)
     if canonical_key(inter.conclusion) != canonical_key(lower.premise):
         raise SearchError("replay target is not congruent to the conclusion")
     return _replay(lower, _recipe(inter))
@@ -842,9 +835,7 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
         return ReachVerdict("not_found", exhausted=out.exhausted, stats=stats)
     standard = out.derivation
     if via_inversion:
-        goal = canonicalize(mk_par([strip_ids(e_struct),
-                                    negate(strip_ids(f_struct)),
-                                    strip_ids(env)]))
+        goal = canonicalize(mk_par([e_struct, negate(f_struct), env]))
         pr = prove(goal, "down", budget)
         if not pr.found:
             raise SearchError("inversion path: no proof of the compiled goal")

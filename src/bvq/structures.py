@@ -1,9 +1,11 @@
 """Syntax of BVQ structures, the congruence on them, and canonical forms.
 
 Structures are built from the unit, signed atoms, the non-commutative
-Seq, the commutative Par and CoPar, negation, and the self-dual
-quantifier ``fo`` (which only binds positive names).  Two structures are
-congruent when they are equal modulo negation pushing, unit removal,
+Seq, the commutative Par and CoPar, and the self-dual quantifier ``fo``
+(which only binds positive names).  Negation is not a constructor: it
+is defined on atoms and carried through the others by De Morgan
+(``negate``), so every structure is in negation normal form.  Two
+structures are congruent when they are equal modulo unit removal,
 associativity, commutativity of Par/CoPar, and renaming/reordering of
 quantifiers.  Congruence is decided by comparing canonical forms; the
 canonical serialization produced here is the single source of structural
@@ -19,9 +21,9 @@ atom occurrence annihilated where.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import count, permutations
 from operator import is_
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,17 +71,12 @@ class CoPar:
 
 
 @dataclass(frozen=True)
-class Not:
-    body: "Structure"
-
-
-@dataclass(frozen=True)
 class Sdq:
     binder: Name  # always positive
     body: "Structure"
 
 
-Structure = Union[One, Atom, Seq, Par, CoPar, Not, Sdq]
+Structure = Union[One, Atom, Seq, Par, CoPar, Sdq]
 
 ONE = One()
 
@@ -195,10 +192,7 @@ def _parse_struct(sc: _Scanner) -> Structure:
         return ONE
     if ch == "~":
         sc.take()
-        body = _parse_struct(sc)
-        if isinstance(body, Atom):
-            return Atom(body.name.complement(), body.uid)
-        return Not(body)
+        return negate(_parse_struct(sc))
     if ch in _BRACKETS:
         close, build = _BRACKETS[ch]
         sc.take()
@@ -251,8 +245,6 @@ def print_structure(s: Structure) -> str:
             return "[" + ";".join(print_structure(p) for p in s.parts) + "]"
         if isinstance(s, CoPar):
             return "(" + ";".join(print_structure(p) for p in s.parts) + ")"
-        if isinstance(s, Not):
-            return "~" + print_structure(s.body)
         if isinstance(s, Sdq):
             return f"fo {s.binder.base}.{print_structure(s.body)}"
         raise TypeError(f"not a structure: {s!r}")
@@ -264,34 +256,24 @@ def print_structure(s: Structure) -> str:
 # names, size, negation
 # ---------------------------------------------------------------------------
 
-def nnf(s: Structure, neg: bool = False) -> Structure:
-    """Push negation inward to the atoms (units and Seq are self-dual)."""
+_DE_MORGAN = {Seq: Seq, Par: CoPar, CoPar: Par}
+
+
+def negate(s: Structure) -> Structure:
+    """De Morgan dual: atoms flip, Par and CoPar swap, the unit, Seq and
+    the quantifier stay in place with negated bodies."""
     try:
         if isinstance(s, One):
             return ONE
         if isinstance(s, Atom):
-            return Atom(s.name.complement(), s.uid) if neg else s
-        if isinstance(s, Not):
-            return nnf(s.body, not neg)
-        if isinstance(s, Seq):
-            return Seq(tuple(nnf(p, neg) for p in s.parts))
-        if isinstance(s, Par):
-            cls = CoPar if neg else Par
-            return cls(tuple(nnf(p, neg) for p in s.parts))
-        if isinstance(s, CoPar):
-            cls = Par if neg else CoPar
-            return cls(tuple(nnf(p, neg) for p in s.parts))
+            return Atom(s.name.complement(), s.uid)
+        if isinstance(s, (Seq, Par, CoPar)):
+            return _DE_MORGAN[type(s)](tuple(negate(p) for p in s.parts))
         if isinstance(s, Sdq):
-            return Sdq(s.binder, nnf(s.body, neg))
+            return Sdq(s.binder, negate(s.body))
         raise TypeError(f"not a structure: {s!r}")
     except RecursionError:
         raise StructureError(_TOO_DEEP) from None
-
-
-def negate(s: Structure) -> Structure:
-    """De-Morgan normal negation: atoms flip, Par and CoPar swap,
-    Seq and the quantifier stay in place with negated bodies."""
-    return nnf(s, neg=True)
 
 
 def names(s: Structure) -> tuple[frozenset[Name], frozenset[Name]]:
@@ -308,10 +290,11 @@ def names(s: Structure) -> tuple[frozenset[Name], frozenset[Name]]:
                 walk(p, ctx)
         elif isinstance(t, Sdq):
             walk(t.body, ctx | {t.binder.base})
-        elif isinstance(t, Not):
-            walk(nnf(t), ctx)
 
-    walk(nnf(s), frozenset())
+    try:
+        walk(s, frozenset())
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
     return frozenset(free), frozenset(bound)
 
 
@@ -321,73 +304,64 @@ def free_bases(s: Structure) -> frozenset[str]:
 
 def size(s: Structure) -> int:
     """Atom occurrences plus quantifiers that actually bind something."""
-    if isinstance(s, One):
-        return 0
-    if isinstance(s, Atom):
-        return 1
-    if isinstance(s, Not):
-        return size(s.body)
-    if isinstance(s, (Seq, Par, CoPar)):
-        return sum(size(p) for p in s.parts)
-    if isinstance(s, Sdq):
-        extra = 1 if s.binder.base in free_bases(s.body) else 0
-        return size(s.body) + extra
-    raise TypeError(f"not a structure: {s!r}")
+    try:
+        if isinstance(s, One):
+            return 0
+        if isinstance(s, Atom):
+            return 1
+        if isinstance(s, (Seq, Par, CoPar)):
+            return sum(size(p) for p in s.parts)
+        if isinstance(s, Sdq):
+            extra = 1 if s.binder.base in free_bases(s.body) else 0
+            return size(s.body) + extra
+        raise TypeError(f"not a structure: {s!r}")
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def is_tensor_free(s: Structure) -> bool:
-    if isinstance(s, CoPar):
-        return False
-    if isinstance(s, (Seq, Par)):
-        return all(is_tensor_free(p) for p in s.parts)
-    if isinstance(s, Sdq):
-        return is_tensor_free(s.body)
-    if isinstance(s, Not):
-        return is_tensor_free(s.body)
-    return True
+    try:
+        if isinstance(s, CoPar):
+            return False
+        if isinstance(s, (Seq, Par)):
+            return all(is_tensor_free(p) for p in s.parts)
+        if isinstance(s, Sdq):
+            return is_tensor_free(s.body)
+        return True
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 # ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def _prepare(s: Structure, neg: bool, frees: set[str],
-             binders: list[str]) -> Structure:
-    """One fused pass: push negation to atoms, drop units, flatten
-    associativity, drop vacuous quantifiers.  Returns the simplified
+def _prepare(s: Structure, frees: set[str], binders: list[str]) -> Structure:
+    """One fused pass: drop units, flatten associativity, drop vacuous
+    quantifiers.  Returns the simplified
     structure; adds its free name bases to ``frees`` and appends the base
     of every quantifier it keeps to ``binders``."""
     t = type(s)
     if t is Atom:
-        if neg:
-            s = Atom(s.name.complement(), s.uid)
         frees.add(s.name.base)
         return s
     if t is Seq or t is Par or t is CoPar:
-        if t is Seq:
-            cls = Seq
-        elif (t is Par) is not neg:
-            cls = Par
-        else:
-            cls = CoPar
         parts: list[Structure] = []
-        same = cls is t and not neg  # s can be returned as it is
+        same = True  # s can be returned as it is
         for p in s.parts:
             # atom and unit children are handled inline, saving a call
             # for most children
             tp = type(p)
             if tp is Atom:
-                if neg:
-                    p = Atom(p.name.complement(), p.uid)
                 frees.add(p.name.base)
                 parts.append(p)
                 continue
             if tp is One:
                 same = False
                 continue
-            q = _prepare(p, neg, frees, binders)
+            q = _prepare(p, frees, binders)
             tq = type(q)
-            if tq is cls:
+            if tq is t:
                 parts.extend(q.parts)
                 same = False
             elif tq is not One:
@@ -396,11 +370,11 @@ def _prepare(s: Structure, neg: bool, frees: set[str],
             else:
                 same = False
         if len(parts) > 1:
-            return s if same else cls(tuple(parts))
+            return s if same else t(tuple(parts))
         return parts[0] if parts else ONE
     if t is Sdq:
         inner: set[str] = set()
-        body = _prepare(s.body, neg, inner, binders)
+        body = _prepare(s.body, inner, binders)
         base = s.binder.base
         if base in inner:
             inner.discard(base)
@@ -408,8 +382,6 @@ def _prepare(s: Structure, neg: bool, frees: set[str],
             binders.append(base)
         frees |= inner
         return body
-    if t is Not:
-        return _prepare(s.body, not neg, frees, binders)
     if t is One:
         return ONE
     raise TypeError(f"not a structure: {s!r}")
@@ -521,7 +493,7 @@ def _canonical(s: Structure) -> tuple[str, Structure]:
     frees: set[str] = set()
     binders: list[str] = []
     try:
-        core = _prepare(s, False, frees, binders)
+        core = _prepare(s, frees, binders)
         cands = _binder_candidates(frees, len(binders)) if binders else []
         key, out, _ = _canon(core, (), 0, cands)
     except RecursionError:
@@ -536,7 +508,7 @@ def _canonical(s: Structure) -> tuple[str, Structure]:
 def canonicalize(s: Structure) -> Structure:
     """The unique representative of the congruence class of ``s``.
 
-    Negations sit on atoms, no unit occurs (unless the whole structure is
+    No unit occurs (unless the whole structure is
     the unit), nesting is flattened, commutative children are sorted by
     canonical key, vacuous quantifiers are gone and the remaining binders
     carry deterministic names chosen to avoid every free name.
@@ -571,8 +543,6 @@ def _step_into(s: Structure, op: str, idx: int) -> Structure:
         return s.parts[idx]
     if op == "fo" and isinstance(s, Sdq) and idx == 0:
         return s.body
-    if op == "not" and isinstance(s, Not) and idx == 0:
-        return s.body
     raise StructureError(f"path step ({op},{idx}) does not match {print_structure(s)}")
 
 
@@ -593,8 +563,6 @@ def replace_at(s: Structure, path: Context, new: Structure) -> Structure:
         return type(s)(parts)
     if isinstance(s, Sdq):
         return Sdq(s.binder, rebuilt)
-    if isinstance(s, Not):
-        return Not(rebuilt)
     raise StructureError("malformed path")
 
 
@@ -605,48 +573,49 @@ def iter_atoms(s: Structure) -> Iterator[Atom]:
         elif isinstance(s, (Seq, Par, CoPar)):
             for p in s.parts:
                 yield from iter_atoms(p)
-        elif isinstance(s, (Sdq, Not)):
+        elif isinstance(s, Sdq):
             yield from iter_atoms(s.body)
     except RecursionError:
         raise StructureError(_TOO_DEEP) from None
 
 
 def iter_atom_paths(s: Structure, prefix: Context = ()) -> Iterator[tuple[Context, Atom]]:
-    if isinstance(s, Atom):
-        yield prefix, s
-    elif isinstance(s, (Seq, Par, CoPar)):
-        op = {Seq: "seq", Par: "par", CoPar: "copar"}[type(s)]
-        for i, p in enumerate(s.parts):
-            yield from iter_atom_paths(p, prefix + ((op, i),))
-    elif isinstance(s, Sdq):
-        yield from iter_atom_paths(s.body, prefix + (("fo", 0),))
-    elif isinstance(s, Not):
-        yield from iter_atom_paths(s.body, prefix + (("not", 0),))
+    try:
+        if isinstance(s, Atom):
+            yield prefix, s
+        elif isinstance(s, (Seq, Par, CoPar)):
+            op = {Seq: "seq", Par: "par", CoPar: "copar"}[type(s)]
+            for i, p in enumerate(s.parts):
+                yield from iter_atom_paths(p, prefix + ((op, i),))
+        elif isinstance(s, Sdq):
+            yield from iter_atom_paths(s.body, prefix + (("fo", 0),))
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
+
+
+def map_atoms(s: Structure, f: Callable[[Atom], Structure]) -> Structure:
+    """Rebuild ``s`` with every atom ``a`` replaced by ``f(a)``, calling
+    ``f`` on the atoms left to right."""
+    def walk(t: Structure) -> Structure:
+        if isinstance(t, Atom):
+            return f(t)
+        if isinstance(t, (Seq, Par, CoPar)):
+            return type(t)(tuple(walk(p) for p in t.parts))
+        if isinstance(t, Sdq):
+            return Sdq(t.binder, walk(t.body))
+        return t
+
+    try:
+        return walk(s)
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def assign_ids(s: Structure, start: int = 0) -> tuple[Structure, int]:
     """Number atom occurrences left to right.  Callers canonicalize first
     when the numbering should follow the canonical form."""
-    counter = start
-
-    def walk(t: Structure) -> Structure:
-        nonlocal counter
-        if isinstance(t, Atom):
-            out = Atom(t.name, counter)
-            counter += 1
-            return out
-        if isinstance(t, (Seq, Par, CoPar)):
-            return type(t)(tuple(walk(p) for p in t.parts))
-        if isinstance(t, Sdq):
-            return Sdq(t.binder, walk(t.body))
-        if isinstance(t, Not):
-            return Not(walk(t.body))
-        return t
-
-    try:
-        return walk(s), counter
-    except RecursionError:
-        raise StructureError(_TOO_DEEP) from None
+    ids = count(start)
+    return map_atoms(s, lambda a: Atom(a.name, next(ids))), next(ids)
 
 
 def uid_set(s: Structure) -> frozenset[int]:
@@ -654,34 +623,12 @@ def uid_set(s: Structure) -> frozenset[int]:
 
 
 def strip_ids(s: Structure) -> Structure:
-    try:
-        if isinstance(s, Atom):
-            return Atom(s.name, None)
-        if isinstance(s, (Seq, Par, CoPar)):
-            return type(s)(tuple(strip_ids(p) for p in s.parts))
-        if isinstance(s, Sdq):
-            return Sdq(s.binder, strip_ids(s.body))
-        if isinstance(s, Not):
-            return Not(strip_ids(s.body))
-        return s
-    except RecursionError:
-        raise StructureError(_TOO_DEEP) from None
+    return map_atoms(s, lambda a: Atom(a.name))
 
 
 def erase_atoms(s: Structure, kill: frozenset[int]) -> Structure:
     """Replace the atoms whose uid is in ``kill`` by the unit."""
-    try:
-        if isinstance(s, Atom):
-            return ONE if s.uid in kill else s
-        if isinstance(s, (Seq, Par, CoPar)):
-            return type(s)(tuple(erase_atoms(p, kill) for p in s.parts))
-        if isinstance(s, Sdq):
-            return Sdq(s.binder, erase_atoms(s.body, kill))
-        if isinstance(s, Not):
-            return Not(erase_atoms(s.body, kill))
-        return s
-    except RecursionError:
-        raise StructureError(_TOO_DEEP) from None
+    return map_atoms(s, lambda a: ONE if a.uid in kill else a)
 
 
 def find_uid_path(s: Structure, uid: int) -> Optional[Context]:

@@ -19,8 +19,8 @@ from bvq.ccsr import (
     process_congruent, process_key,
 )
 from bvq.structures import (
-    Atom, CoPar, Name, Not, ONE, One, Par, Sdq, Seq, StructureError,
-    assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
+    Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
+    assign_ids, canonical_key, canonicalize, congruent, iter_atoms, negate,
     parse_structure, print_structure, uid_set,
 )
 from bvq.bridge import to_structure
@@ -50,8 +50,8 @@ structures = st.recursive(
         st.builds(Seq, _parts(sub)),
         st.builds(Par, _parts(sub)),
         st.builds(CoPar, _parts(sub)),
-        st.builds(Not, st.one_of(st.builds(Seq, _parts(sub)),
-                                 st.builds(Par, _parts(sub)))),
+        st.builds(negate, st.one_of(st.builds(Seq, _parts(sub)),
+                                    st.builds(Par, _parts(sub)))),
         st.builds(Sdq, st.builds(Name, st.sampled_from(BASES)), sub),
     ),
     max_leaves=8,
@@ -140,6 +140,13 @@ def test_structure_print_parse_round_trip(s):
     assert parse_structure(print_structure(s)) == s
 
 
+@settings(max_examples=200, deadline=None)
+@given(structures)
+def test_negation_is_an_involution_and_the_parsed_tilde(s):
+    assert negate(negate(s)) == s
+    assert parse_structure("~" + print_structure(s)) == negate(s)
+
+
 _POSITION = re.compile(r" at position (\d+)$")
 
 
@@ -191,24 +198,16 @@ def test_seven_binder_chain_congruent_to_its_reversal():
 _REF_BIG = 1 << 60
 
 
-def _ref_prepare(s, neg):
+def _ref_prepare(s):
     if isinstance(s, One):
         return ONE, frozenset(), 0
     if isinstance(s, Atom):
-        out = Atom(s.name.complement(), s.uid) if neg else s
-        return out, frozenset((out.name.base,)), 0
-    if isinstance(s, Not):
-        return _ref_prepare(s.body, not neg)
+        return s, frozenset((s.name.base,)), 0
     if isinstance(s, (Seq, Par, CoPar)):
-        if isinstance(s, Seq):
-            cls = Seq
-        elif isinstance(s, Par):
-            cls = CoPar if neg else Par
-        else:
-            cls = Par if neg else CoPar
+        cls = type(s)
         parts, frees, count = [], set(), 0
         for p in s.parts:
-            q, f, c = _ref_prepare(p, neg)
+            q, f, c = _ref_prepare(p)
             frees |= f
             count += c
             if isinstance(q, One):
@@ -222,7 +221,7 @@ def _ref_prepare(s, neg):
         if len(parts) == 1:
             return parts[0], frozenset(frees), count
         return cls(tuple(parts)), frozenset(frees), count
-    body, frees, count = _ref_prepare(s.body, neg)
+    body, frees, count = _ref_prepare(s.body)
     if s.binder.base not in frees:
         return body, frees, count
     return Sdq(s.binder, body), frees - {s.binder.base}, count + 1
@@ -283,7 +282,7 @@ def _ref_canon(s, scope, depth, cands):
 
 
 def _ref_canonical(s):
-    core, frees, count = _ref_prepare(s, False)
+    core, frees, count = _ref_prepare(s)
     key, out, _ = _ref_canon(core, (), 0, _ref_candidates(frees, count))
     return key, out
 
@@ -303,8 +302,6 @@ def _permutation_work(s) -> int:
             k, body = k + 1, body.body
         orders = math.factorial(k) if k <= 6 else 1
         return orders * _permutation_work(body)
-    if isinstance(s, Not):
-        return _permutation_work(s.body)
     if isinstance(s, (Seq, Par, CoPar)):
         return sum(_permutation_work(p) for p in s.parts)
     return 1
@@ -315,7 +312,7 @@ chained = st.builds(_chain, st.lists(st.sampled_from(BASES), min_size=1,
 kernel_inputs = st.one_of(
     structures, chained,
     st.builds(Par, _parts(st.one_of(structures, chained))),
-    st.builds(Not, st.builds(Seq, _parts(st.one_of(structures, chained)))),
+    st.builds(negate, st.builds(Seq, _parts(st.one_of(structures, chained)))),
 ).filter(lambda s: _permutation_work(s) <= 5000).map(lambda s: assign_ids(s)[0])
 
 
@@ -328,9 +325,8 @@ def _shuffle_commutative(s, rng):
         return type(s)(tuple(parts))
     if isinstance(s, Seq):
         return Seq(tuple(_shuffle_commutative(p, rng) for p in s.parts))
-    if isinstance(s, (Not, Sdq)):
-        body = _shuffle_commutative(s.body, rng)
-        return Not(body) if isinstance(s, Not) else Sdq(s.binder, body)
+    if isinstance(s, Sdq):
+        return Sdq(s.binder, _shuffle_commutative(s.body, rng))
     return s
 
 

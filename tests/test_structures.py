@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from bvq import search
+from bvq.calculus import _par_nodes
 from bvq.structures import (
-    Atom, Name, Not, ONE, Par, Sdq, Seq, StructureError, assign_ids, atom,
-    canonical_key, canonicalize, congruent, erase_atoms, iter_atoms, names,
-    negate, nnf, parse_structure, print_structure, replace_at, size,
-    strip_ids, uid_set,
+    Atom, Name, ONE, Par, Sdq, Seq, StructureError, assign_ids, atom,
+    canonical_key, canonicalize, congruent, erase_atoms, is_tensor_free,
+    iter_atom_paths, iter_atoms, map_atoms, names, negate, parse_structure,
+    print_structure, replace_at, size, strip_ids, uid_set,
 )
 
 
@@ -48,10 +50,14 @@ def test_canonicalize_rejects_deep_nesting_with_its_own_error():
 
 
 @pytest.mark.parametrize("walk", [
-    print_structure, nnf, negate, lambda s: list(iter_atoms(s)), assign_ids,
-    strip_ids, lambda s: erase_atoms(s, frozenset({0})), uid_set,
-], ids=["print_structure", "nnf", "negate", "iter_atoms", "assign_ids",
-        "strip_ids", "erase_atoms", "uid_set"])
+    print_structure, negate, lambda s: list(iter_atoms(s)), assign_ids,
+    strip_ids, lambda s: erase_atoms(s, frozenset({0})), uid_set, size,
+    is_tensor_free, lambda s: list(iter_atom_paths(s)), names,
+    lambda s: map_atoms(s, lambda a: a), lambda s: list(_par_nodes(s)),
+    lambda s: search._mark_env(s, frozenset({0})),
+], ids=["print_structure", "negate", "iter_atoms", "assign_ids",
+        "strip_ids", "erase_atoms", "uid_set", "size", "is_tensor_free",
+        "iter_atom_paths", "names", "map_atoms", "_par_nodes", "_mark_env"])
 def test_recursive_walks_reject_deep_nesting_with_their_own_error(walk):
     deep = atom("b", uid=0)
     for i in range(1200):
@@ -65,6 +71,22 @@ def test_roundtrip_on_canonical_forms():
                  "fo a.[a;<b;~a>]", "[~a;~b;fo c.~c]"]:
         c = canonicalize(parse_structure(text))
         assert canonicalize(parse_structure(print_structure(c))) == c
+
+
+def test_parser_pushes_negation_to_the_atoms():
+    assert parse_structure("~<a;[b;fo c.(c;~d)]>") == \
+        parse_structure("<~a;(~b;fo c.[~c;d])>")
+    for text in ["1", "a", "~a", "[a;(b;~c)]", "<a;fo b.[b;1]>"]:
+        assert parse_structure("~~" + text) == parse_structure(text)
+    assert parse_structure("~1") == ONE
+
+
+def test_map_atoms_calls_on_atoms_left_to_right():
+    seen = []
+    s = parse_structure("[<a;~b>;fo c.(c;1)]")
+    out = map_atoms(s, lambda a: seen.append(str(a)) or ONE)
+    assert seen == ["a", "~b", "c"]
+    assert out == parse_structure("[<1;1>;fo c.(1;1)]")
 
 
 def test_negate_examples():
@@ -142,7 +164,7 @@ def _random_structure(rng, depth=3):
         return Seq(tuple(_random_structure(rng, depth - 1)
                          for _ in range(rng.randrange(2, 4))))
     if roll < 0.72:
-        return Not(_random_structure(rng, depth - 1))
+        return negate(_random_structure(rng, depth - 1))
     if roll < 0.85:
         from bvq.structures import CoPar
         return CoPar(tuple(_random_structure(rng, depth - 1)
@@ -168,7 +190,7 @@ def _clause_variants(s, rng):
     out.append(Seq((ONE, s)))
     out.append(Seq((s, ONE)))
     # double negation
-    out.append(Not(Not(s)))
+    out.append(negate(negate(s)))
     # vacuous quantifier
     out.append(Sdq(Name("zz"), s))
     return out
