@@ -795,17 +795,21 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
                    budget: SearchBudget) -> Derivation:
     """Extend a standard derivation of ``[<e>; R]`` from ``<f>`` into a
     proof of ``[<e>; negate(<f>); R]`` by annihilating the target against
-    its negation."""
+    its negation.  The proof's conclusion is numbered left to right, as
+    ``derivation_from_dict`` numbers it, so the printed proof reads back."""
     nf = canonicalize(negate(f_struct))
     if canonical_key(nf) == "1":
         return standard
     base = max(uid_set(standard.conclusion), default=-1) + 1
     nf_ids, _ = assign_ids(nf, base)
+    concl = canonicalize(mk_par([standard.conclusion, nf_ids]))
+    rank = {a.uid: i for i, a in enumerate(iter_atoms(concl))}
     # the standard derivation again, with the numbered negated target
-    # standing beside it in Par
+    # standing beside it in Par, its ids renumbered through ``rank``
     beside = [(st.rule, canonical_key(canonicalize(mk_par([st.result, nf_ids]))),
-               uid_set(st.result) | uid_set(nf_ids)) for st in standard.steps]
-    lower = replay(Derivation(canonicalize(mk_par([standard.conclusion, nf_ids]))),
+               frozenset(rank[u] for u in uid_set(st.result) | uid_set(nf_ids)))
+              for st in standard.steps]
+    lower = replay(Derivation(map_atoms(concl, lambda a: Atom(a.name, rank[a.uid]))),
                    beside)
     if lower is None:
         raise SearchError("could not replay a step in context")

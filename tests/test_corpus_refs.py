@@ -6,11 +6,9 @@ corpus.  Every 20th ``reach_oracle`` operation is run and checked the
 way the benchmark checks it (``bench/ops.py``), so its verdict agrees
 with the transition-system oracle; the standard derivation and the
 transition-system witness of a proved judgment are then read back from
-its output and checked again.  The composed proof is checked inside
-``reach`` only: its printed occurrence ids follow the numbering of the
-standard derivation, not the left-to-right numbering that
-``derivation_from_dict`` assigns, so it does not always read back.
-The search's ``stats.steps`` and ``stats.visited`` of each sampled
+its output and checked again, and so is the composed proof, whose
+conclusion must be ``[<E>; ~<F>; R]`` for the environment ``R`` of the
+judgment and whose premise must be the unit.  The search's ``stats.steps`` and ``stats.visited`` of each sampled
 reach operation are pinned.  Reach outputs are not compared by digest,
 because part of the reach references predate printing Par components in
 structure-key order."""
@@ -21,14 +19,14 @@ import sys
 
 import pytest
 
-from bvq.bridge import to_structure
+from bvq.bridge import actions_to_env, to_structure
 from bvq.calculus import check_derivation, derivation_from_dict
 from bvq.ccsr import (
     actions_normalize, check_lts_derivation, lts_from_dict, parse_actions,
     parse_process, process_congruent,
 )
 from bvq.standardize import is_standard
-from bvq.structures import canonical_key
+from bvq.structures import canonical_key, mk_par, negate
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -86,6 +84,10 @@ def test_reach_verdict_and_certificates_check(op):
     standard = derivation_from_dict(payload["standardDerivation"])
     assert check_derivation(standard) and is_standard(standard)
     assert canonical_key(standard.premise) == canonical_key(to_structure(f))
+    proof = derivation_from_dict(payload["proof"])
+    assert check_derivation(proof) and canonical_key(proof.premise) == "1"
+    goal = mk_par([to_structure(e), negate(to_structure(f)), actions_to_env(alpha)])
+    assert canonical_key(proof.conclusion) == canonical_key(goal)
     witness = lts_from_dict(payload["ltsWitness"])
     assert check_lts_derivation(witness)
     assert process_congruent(witness.source, e)

@@ -8,6 +8,8 @@ checkout's corpus files, so only the code under test differs.  Reports
 every operation whose exit code, output digest (``ops.output_digest``:
 the output without its ``stats``) or ``stats.steps``/``stats.visited``
 differ, and exits 1 on any difference, 0 when every operation agrees.
+When a digest differs, the report also names the top-level output
+fields that differ (such as ``proof``) and ends with a count per field.
 
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
@@ -16,6 +18,7 @@ differ, and exits 1 on any difference, 0 when every operation agrees.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -39,13 +42,19 @@ def run_ops(workloads: list[str], every: int) -> None:
         for op in corpus.load(w)["ops"][::every]:
             res = ops.execute(op)
             try:
-                stats = json.loads(res.out).get("stats") or {}
-            except (ValueError, AttributeError):
-                stats = {}
+                payload = json.loads(res.out)
+            except ValueError:
+                payload = None
+            if not isinstance(payload, dict):
+                payload = {}
+            stats = payload.pop("stats", None) or {}
+            fields = {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode())
+                      .hexdigest() for k, v in payload.items()}
             print(json.dumps({"workload": w, "id": op["id"], "rc": res.rc,
                               "digest": ops.output_digest(res.out),
                               "steps": stats.get("steps"),
-                              "visited": stats.get("visited")}), flush=True)
+                              "visited": stats.get("visited"),
+                              "fields": fields}), flush=True)
 
 
 def _spawn(tree: str, workloads: list[str], every: int, out) -> subprocess.Popen:
@@ -91,12 +100,22 @@ def main(argv=None) -> int:
                  for t, f in zip(trees, (a, b))]
         here, there = (_records(p, f, t) for p, f, t in zip(procs, (a, b), trees))
     differ = 0
+    per_field: dict[str, int] = {}
     for key in sorted(here):
         a, b = here[key], there[key]
         diffs = [f"{f} {a[f]} (here) vs {b[f]}" for f in FIELDS if a[f] != b[f]]
+        if a["digest"] != b["digest"]:
+            fa, fb = a["fields"], b["fields"]
+            moved = sorted(k for k in fa.keys() | fb.keys() if fa.get(k) != fb.get(k))
+            for k in moved:
+                per_field[k] = per_field.get(k, 0) + 1
+            diffs.append("output fields " + (", ".join(moved)
+                                             or "(not a JSON object)"))
         if diffs:
             differ += 1
             print(f"{key[0]} {key[1]}: " + "; ".join(diffs))
+    for k, n in sorted(per_field.items()):
+        print(f"field {k} differs in {n} ops")
     print(f"{len(here)} ops compared, {differ} differ")
     return 1 if differ else 0
 
