@@ -338,9 +338,9 @@ def is_tensor_free(s: Structure) -> bool:
 
 def _prepare(s: Structure, frees: set[str], binders: list[str]) -> Structure:
     """One fused pass: drop units, flatten associativity, drop vacuous
-    quantifiers.  Returns the simplified
-    structure; adds its free name bases to ``frees`` and appends the base
-    of every quantifier it keeps to ``binders``."""
+    quantifiers.  Returns the simplified structure; adds its free name
+    bases to ``frees`` and appends the base of every quantifier it keeps
+    to ``binders``."""
     t = type(s)
     if t is Atom:
         frees.add(s.name.base)
@@ -508,10 +508,10 @@ def _canonical(s: Structure) -> tuple[str, Structure]:
 def canonicalize(s: Structure) -> Structure:
     """The unique representative of the congruence class of ``s``.
 
-    No unit occurs (unless the whole structure is
-    the unit), nesting is flattened, commutative children are sorted by
-    canonical key, vacuous quantifiers are gone and the remaining binders
-    carry deterministic names chosen to avoid every free name.
+    No unit occurs (unless the whole structure is the unit), nesting is
+    flattened, commutative children are sorted by canonical key, vacuous
+    quantifiers are gone and the remaining binders carry deterministic
+    names chosen to avoid every free name.
     Occurrence ids are preserved.  Idempotent.
     """
     return _canonical(s)[1]
