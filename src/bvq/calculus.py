@@ -327,15 +327,32 @@ def extend(d: Derivation, inst: RuleInstance) -> Derivation:
 RecipeEntry = tuple[str, str, Optional[frozenset[int]]]
 
 
-def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]:
-    """Extend ``start`` by one step per recipe entry, each an instance of
-    the entry's rule (``ai_down_left`` read as ``ai_down``) whose premise
-    has the entry's key and, when given, its ids.  Backtracks over
-    instance choices, so the first matches win; None when no choice
-    reaches the end of the recipe."""
-    if not recipe:
-        return start
-    (rule, want, ids), cur = recipe[0], start.premise
+def _backtrack(start: Derivation, entries: list, candidates: Callable) -> tuple:
+    """Extend ``start`` by one step per entry, backtracking depth first
+    over the ``(instance, premise)`` pairs ``candidates(cur, entry)``
+    yields, so the first choices that reach the end win.  Returns the
+    derivation, or None and the deepest entry no choice got past."""
+    steps: list[Step] = []
+    choices: list[Iterator] = []
+    deepest = 0
+    while len(steps) < len(entries):
+        if len(choices) == len(steps):
+            cur = steps[-1].result if steps else start.premise
+            choices.append(iter(candidates(cur, entries[len(steps)])))
+            deepest = max(deepest, len(steps))
+        got = next(choices[-1], None)
+        if got is not None:
+            steps.append(Step(*got))
+        elif len(choices) == 1:
+            return None, deepest
+        else:
+            choices.pop()
+            steps.pop()
+    return Derivation(start.conclusion, start.steps + tuple(steps)), deepest
+
+
+def _recipe_candidates(cur: Structure, entry: RecipeEntry) -> Iterator[tuple]:
+    rule, want, ids = entry
     base = AI_DOWN if rule == AI_DOWN_LEFT else rule
     gone = None if ids is None else uid_set(cur) - ids
     for inst in enumerate_instances(cur, frozenset({base})):
@@ -344,13 +361,17 @@ def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]
         if gone is not None and inst.rule == AI_DOWN and inst.consumed_ids != gone:
             continue
         nxt = apply_instance(cur, inst)
-        if canonical_key(nxt) != want or (ids is not None and uid_set(nxt) != ids):
-            continue
-        got = replay(Derivation(start.conclusion, start.steps + (Step(inst, nxt),)),
-                     recipe[1:])
-        if got is not None:
-            return got
-    return None
+        if canonical_key(nxt) == want and (ids is None or uid_set(nxt) == ids):
+            yield inst, nxt
+
+
+def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]:
+    """Extend ``start`` by one step per recipe entry, each an instance of
+    the entry's rule (``ai_down_left`` read as ``ai_down``) whose premise
+    has the entry's key and, when given, its ids.  Backtracks over
+    instance choices, so the first matches win; None when no choice
+    reaches the end of the recipe."""
+    return _backtrack(start, recipe, _recipe_candidates)[0]
 
 
 def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
@@ -551,38 +572,38 @@ def derivation_to_dict(d: Derivation) -> dict:
     }
 
 
+def _json_candidates(cur: Structure, sd: dict) -> Iterator[tuple]:
+    rule = sd["rule"]
+    path = tuple((op, idx) for op, idx in sd["path"])
+    want_ids = frozenset(sd.get("consumedIds", ()))
+    before = canonical_key(parse_structure(sd["redexBefore"]))
+    after = canonical_key(parse_structure(sd["redexAfter"]))
+    base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
+    for inst in enumerate_instances(cur, frozenset({base})):
+        if inst.path != path or canonical_key(inst.conclusion_redex) != before \
+                or canonical_key(inst.replacement) != after \
+                or want_ids and inst.consumed_ids != want_ids:
+            continue
+        if rule == AI_DOWN_LEFT:
+            inst = replace(inst, rule=AI_DOWN_LEFT)
+        yield inst, apply_instance(cur, inst)
+
+
 def derivation_from_dict(data: dict) -> Derivation:
     """Rebuild a derivation from its JSON form.
 
     Occurrence ids are re-assigned on the canonical conclusion (the same
     left-to-right numbering used when the derivation was emitted), and
     every step is re-located by matching rule, path and redex prints.
+    Where several instances match a step (two identical atoms, say), the
+    choice is backtracked until the later steps match as well.
     """
-    d = start_derivation(parse_structure(data["conclusion"]))
-    for i, sd in enumerate(data["steps"]):
-        rule = sd["rule"]
-        path = tuple((op, idx) for op, idx in sd["path"])
-        want_ids = frozenset(sd.get("consumedIds", ()))
-        before = canonical_key(parse_structure(sd["redexBefore"]))
-        after = canonical_key(parse_structure(sd["redexAfter"]))
-        base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
-        found = None
-        for inst in enumerate_instances(d.premise, frozenset({base})):
-            if inst.path != path:
-                continue
-            if canonical_key(inst.conclusion_redex) != before:
-                continue
-            if canonical_key(inst.replacement) != after:
-                continue
-            if want_ids and inst.consumed_ids != want_ids:
-                continue
-            found = inst
-            break
-        if found is None:
-            raise DerivationError(f"step {i}: no matching {rule} instance")
-        if rule == AI_DOWN_LEFT:
-            found = replace(found, rule=AI_DOWN_LEFT)
-        d = extend(d, found)
+    steps = data["steps"]
+    d, deepest = _backtrack(start_derivation(parse_structure(data["conclusion"])),
+                            steps, _json_candidates)
+    if d is None:
+        raise DerivationError(f"step {deepest}: no matching "
+                              f"{steps[deepest]['rule']} instance")
     prem = data.get("premise")
     if prem is not None and canonical_key(parse_structure(prem)) != canonical_key(d.premise):
         raise DerivationError("premise does not match the replayed steps")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvq import calculus
 from bvq.calculus import (
-    AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, Q_DOWN,
+    AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
     check_derivation, check_derivation_detail, concat, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
@@ -302,6 +303,34 @@ def test_json_step_may_list_a_pair_in_mirrored_order():
     data["steps"][0].update(redexBefore="[<~a;f>;<a;e>]",
                             redexAfter="<[~a;a];[f;e]>")
     assert derivation_to_dict(derivation_from_dict(data)) == derivation_to_dict(d)
+
+
+# the composed proof of `bvq reach 'c.(~c.~c.0|nu a.0)' '~c.0' 'c;~c'`:
+# step 2's q_down matches two instances that take either of two identical
+# c atoms, and only the second lets step 3's consumed ids match
+TWO_MATCHING_C = {
+    "conclusion": "[c;<c;~c;~c>;<~c;c>]", "premise": "1",
+    "steps": [
+        {"rule": "q_down", "path": [], "consumedIds": [],
+         "redexBefore": "[<c;~c;~c>;<~c;c>]", "redexAfter": "<[c;~c];[<~c;~c>;c]>"},
+        {"rule": "ai_down", "path": [["par", 1], ["seq", 0]], "consumedIds": [1, 4],
+         "redexBefore": "[c;~c]", "redexAfter": "1"},
+        {"rule": "q_down", "path": [], "consumedIds": [],
+         "redexBefore": "[c;<~c;~c>]", "redexAfter": "<[c;~c];[1;~c]>"},
+        {"rule": "ai_down", "path": [["par", 1], ["seq", 0]], "consumedIds": [2, 5],
+         "redexBefore": "[c;~c]", "redexAfter": "1"},
+        {"rule": "ai_down", "path": [], "consumedIds": [0, 3],
+         "redexBefore": "[c;~c]", "redexAfter": "1"}]}
+
+
+def test_json_read_back_backtracks_over_identical_atoms():
+    d = derivation_from_dict(TWO_MATCHING_C)
+    assert check_derivation(d) and canonical_key(d.premise) == "1"
+    assert derivation_to_dict(d) == TWO_MATCHING_C
+    data = json.loads(json.dumps(TWO_MATCHING_C))
+    data["steps"][4]["consumedIds"] = [0, 9]
+    with pytest.raises(DerivationError, match="step 4: no matching ai_down instance"):
+        derivation_from_dict(data)
 
 
 def test_fragment_restriction():

@@ -1,11 +1,14 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvq.calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, check_derivation, derivation_from_dict,
-    enumerate_instances, extend, replay, start_derivation,
+    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Step, breadth_first,
+    check_derivation, derivation_from_dict, enumerate_instances, extend,
+    apply_instance, replay, start_derivation,
 )
 from bvq.standardize import (
     StandardizationError, commute_once, is_right_context, is_standard,
@@ -13,7 +16,7 @@ from bvq.standardize import (
 )
 from bvq.structures import (
     canonical_key, congruent, iter_atoms, parse_structure, print_structure,
-    strip_ids,
+    strip_ids, uid_set,
 )
 from bvq.search import derive
 from bvq.selftest import random_proof, random_trivial_derivation
@@ -127,6 +130,74 @@ def test_standardize_random_proofs():
         assert is_standard(out)
         assert congruent(out.conclusion, d.conclusion)
         assert congruent(out.premise, d.premise)
+
+
+def _reference_window(bottom, top, max_depth, relevant, loose, max_visited):
+    """A window search with its depth, mode and cap as parameters: in
+    strict mode every rule is standard, in loose mode the last rule may
+    be a blocked interaction."""
+    target, target_ids = canonical_key(top), uid_set(top)
+    dead = uid_set(bottom) - target_ids
+
+    def successors(state):
+        cur, depth, dirty = state
+        if dirty or depth >= max_depth:
+            return
+        for inst in enumerate_instances(cur, {AI_DOWN, Q_DOWN, U_DOWN}):
+            if inst.rule == AI_DOWN:
+                if not inst.consumed_ids <= dead:
+                    continue
+            elif relevant is not None:
+                touched = inst.consumed_uids()
+                if touched and relevant.isdisjoint(touched):
+                    continue
+            blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
+            if blocked and not loose:
+                continue
+            yield inst, (apply_instance(cur, inst), depth + 1, blocked)
+
+    path = breadth_first(
+        (bottom, 0, False),
+        lambda st: (canonical_key(st[0]), uid_set(st[0]), st[2]),
+        successors, lambda k: k[0] == target and k[1] == target_ids,
+        math.inf, max_visited)[0]
+    return None if path is None else [Step(inst, st[0]) for inst, st in path]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_one_window_search_finds_the_exchange_else_the_strict_window(seed):
+    # the filtered window is the plain exchange (loose, depth 2) when
+    # there is one, and otherwise the strict window of depth 4
+    d = random_proof(random.Random(seed), max_atoms=8, max_steps=6)
+    for i, n in seq_numbers(d):
+        if n == 0 or i + 1 >= len(d.steps):
+            continue
+        bottom = d.steps[i - 1].result if i else d.conclusion
+        top = d.steps[i + 1].result
+        relevant = uid_set(bottom) - uid_set(top)
+        for other in d.steps[i:i + 2]:
+            for c in other.instance.consumed:
+                relevant |= uid_set(c)
+        want = _reference_window(bottom, top, 2, relevant, True, 2000) or \
+            _reference_window(bottom, top, 4, relevant, False, 8000)
+        if want is None:
+            continue
+        assert commute_once(d, i).steps == d.steps[:i] + tuple(want) + d.steps[i + 2:]
+
+
+# (seed, draw) of random_proof(random.Random(seed), max_atoms=12,
+# max_steps=8): the first needs a window search of 11,765 states, the
+# second a window whose third or fourth rule is a blocked interaction
+@pytest.mark.parametrize("seed,draw", [(175, 0), (110, 3)])
+def test_standardize_proofs_with_wide_windows(seed, draw):
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        d = random_proof(rng, max_atoms=12, max_steps=8)
+    out = standardize(d)
+    assert check_derivation(out) and is_standard(out)
+    assert congruent(out.conclusion, d.conclusion)
+    assert congruent(out.premise, d.premise)
 
 
 # the 10th draw of random_proof(random.Random(51), max_atoms=12, max_steps=8)

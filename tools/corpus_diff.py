@@ -11,6 +11,11 @@ differ, and exits 1 on any difference, 0 when every operation agrees.
 When a digest differs, the report also names the top-level output
 fields that differ (such as ``proof``) and ends with a count per field.
 
+With ``standardize_battery``, the 200 random proofs of acceptance
+criterion 5 (``random.Random(20260808)``, 12 atoms, 8 steps) are run
+through ``bvq standardize`` as well, as the group ``criterion_5``.  They
+are drawn once, with this checkout's ``bvq``, and handed to both trees.
+
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
 """
@@ -21,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -29,17 +35,34 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 WORKLOADS = ("reach_oracle", "prove_closure", "standardize_battery")
 FIELDS = ("rc", "digest", "steps", "visited")
+CRITERION_5 = "criterion_5"
 
 
-def run_ops(workloads: list[str], every: int) -> None:
-    """Worker: run the selected operations with whatever ``bvq`` is on the
-    path and print one JSON line per operation."""
+def criterion_5_ops() -> list[dict]:
+    """Acceptance criterion 5's random proofs as ``bvq standardize``
+    operations, drawn with this checkout's ``bvq``."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from bvq.calculus import derivation_to_dict
+    from bvq.selftest import random_proof
+
+    rng = random.Random(20260808)
+    return [{"id": k, "argv": ["standardize", "-"],
+             "stdin": json.dumps(derivation_to_dict(
+                 random_proof(rng, max_atoms=12, max_steps=8)))}
+            for k in range(200)]
+
+
+def run_ops(workloads: list[str], every: int, extra: list[dict]) -> None:
+    """Worker: run the selected operations, then the ``extra`` ones as
+    the group ``criterion_5``, with whatever ``bvq`` is on the path and
+    print one JSON line per operation."""
     sys.path.insert(0, BENCH)
     import corpus
     import ops
 
-    for w in workloads:
-        for op in corpus.load(w)["ops"][::every]:
+    groups = [(w, corpus.load(w)["ops"]) for w in workloads]
+    for w, group in groups + [(CRITERION_5, extra)]:
+        for op in group[::every]:
             res = ops.execute(op)
             try:
                 payload = json.loads(res.out)
@@ -57,16 +80,21 @@ def run_ops(workloads: list[str], every: int) -> None:
                               "fields": fields}), flush=True)
 
 
-def _spawn(tree: str, workloads: list[str], every: int, out) -> subprocess.Popen:
-    """Start the worker under ``tree``'s ``src``, writing to the file
-    ``out`` (not a pipe, so neither worker waits for the other's reader)."""
+def _spawn(tree: str, workloads: list[str], every: int, extra: str,
+           out) -> subprocess.Popen:
+    """Start the worker under ``tree``'s ``src``, reading the ``extra``
+    operations' JSON from its standard input and writing to the file
+    ``out`` (files, not pipes, so neither worker waits for the other)."""
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.isdir(os.path.join(src, "bvq")):
         raise SystemExit(f"corpus_diff: no src/bvq under {tree}")
     env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, os.path.abspath(__file__), "--worker",
            "--every", str(every), "--workload", *workloads]
-    return subprocess.Popen(cmd, stdout=out, env=env, text=True)
+    with tempfile.TemporaryFile("w+") as inp:
+        inp.write(extra)
+        inp.seek(0)
+        return subprocess.Popen(cmd, stdin=inp, stdout=out, env=env, text=True)
 
 
 def _records(proc: subprocess.Popen, out, tree: str) -> dict:
@@ -90,13 +118,15 @@ def main(argv=None) -> int:
     if args.every < 1:
         ap.error("--every must be positive")
     if args.worker:
-        run_ops(args.workload, args.every)
+        run_ops(args.workload, args.every, json.load(sys.stdin))
         return 0
     if not args.against:
         ap.error("--against is required")
     trees = (ROOT, args.against)
+    extra = json.dumps(criterion_5_ops() if "standardize_battery" in args.workload
+                       else [])
     with tempfile.TemporaryFile("w+") as a, tempfile.TemporaryFile("w+") as b:
-        procs = [_spawn(t, args.workload, args.every, f)
+        procs = [_spawn(t, args.workload, args.every, extra, f)
                  for t, f in zip(trees, (a, b))]
         here, there = (_records(p, f, t) for p, f, t in zip(procs, (a, b), trees))
     differ = 0
