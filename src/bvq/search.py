@@ -9,11 +9,13 @@ pipeline compiles ``E -> F with alpha`` into deriving ``<F>`` from
 ``[<E>; R]`` in the standard fragment, where ``R`` is the environment
 structure of ``alpha``.  Consumption of ``R`` is tracked inside the
 search state, so a returned derivation always annihilates every
-environment atom.  From that derivation a transition-system witness is
-extracted by repeatedly peeling the lowest interaction and reducing: an
-interaction between two process atoms becomes a silent communication
-step, an interaction with the environment head becomes a visible firing,
-and the trivial residue becomes restriction merges.
+environment atom.  A transition-system witness is read off that
+derivation in one pass over its interactions, from the bottom up: each
+fires on the process part of the conclusion with the atoms fired so far
+erased.  An interaction between two process atoms becomes a silent
+communication step, and one with the environment head a visible
+firing.  The steps left once every fired atom is erased, replayed once,
+become restriction merges.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from .calculus import (
     seq_number, start_derivation,
 )
 from .ccsr import (
-    BridgeError, LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM,
-    RULE_RES_MERGE, RULE_RES_PASS, SILENT, ActionSeq, actions_normalize,
-    canonical_process, chain_nodes, check_lts_derivation, from_structure,
-    is_simple_process, lts_to_dict, process_congruent, refl_node, tran_node,
-    to_structure,
+    LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
+    RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, canonical_process,
+    chain_nodes, check_lts_derivation, from_structure, is_simple_process,
+    lts_to_dict, process_congruent, refl_node, tran_node, to_structure,
 )
 from .bridge import actions_to_env, classify_structure, env_to_actions
 from .standardize import is_standard
@@ -100,75 +101,65 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     The goal is any state matching ``goal_key`` (the unit when None)
     whose tracked environment atoms have all been consumed.
 
-    A search state is ``(structure, present ids, live ids, twins)``: the
-    occurrence ids the structure holds, the sorted ids of the
-    environment atoms among them, and whether an atom outside the live
-    set has the name (base and polarity) of a live one.  Its key is the
-    canonical key, made from a copy with live atoms marked when the
-    state has twins, and the live ids.  Without twins the plain key
-    splits states exactly as the marked key would:
+    A search state is ``(structure, live ids)``: the sorted ids of the
+    environment atoms the structure still holds.  No rule creates an
+    occurrence, and only an interaction deletes any, so an interaction
+    successor's live ids are its parent's minus the consumed pair and
+    every other successor keeps its parent's.
 
-    * live environment atoms are never bound, because ``u_down`` refuses
-      a capture and canonical binder names avoid every free base, so
-      marking renames free labels only;
-    * the live ids fix the live names, since an occurrence keeps its name
-      along the search, so two states with the same live ids undergo the
-      same renaming, and without twins it is injective on names (marked
-      names carry a character no parsed name has);
-    * on canonical states, such a renaming preserves and reflects
-      congruence (units, associativity, commutativity and
-      binder renaming and reordering never compare two different free
-      names; up to the chain cap of ``structures._MAX_CHAIN_PERms``);
-    * whether a state has twins is read from the free names of its
-      marked form, so it is itself a function of the marked class, and a
-      plain key never equals a marked one, which holds a marked name.
+    The key is a canonical key and the live ids.  States that differ
+    only in which of two twin occurrences the environment still owns
+    have different futures; a twin is an atom outside the live set with
+    the name (base and polarity) of a live one.  So the key must split
+    states as the key of a copy with live atoms marked (``_mark_env``)
+    does.  When the start has no twins, the plain key already does:
 
-    So the marked copy is built and canonicalized only for twin states.
-    The live ids and the twin flag are functions of the present ids, and
-    only an interaction changes those (it consumes two occurrences;
-    ``q_down``, ``u_down`` and ``switch`` neither create nor delete one),
-    so they are recomputed for interaction successors only, from a table
-    of the start's names.  The table stays exact: free atoms keep their
-    names, and bound atoms stay bound under canonical names that avoid
-    every free base, in the start as in every later state, so a bound
-    atom never has the name of a live one.
+    * no state has twins either.  Free atoms keep their names, and bound
+      atoms stay bound under canonical names that avoid every free base;
+      live environment atoms are free, because ``u_down`` refuses a
+      capture.  So a twin in a state would be one in the start;
+    * the live ids fix the live names, so two states with the same live
+      ids undergo the same marking, and without twins it is an injective
+      renaming of free names (marked names carry a character no parsed
+      name has);
+    * on canonical states such a renaming preserves and reflects
+      congruence (units, associativity, commutativity and binder
+      renaming and reordering never compare two different free names;
+      up to the chain cap of ``structures._MAX_CHAIN_PERms``).
+
+    Whether states are keyed by their marked copy is therefore decided
+    once, from the start: exactly when the start has twins.
     """
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
     if fragment == "standard" and not is_tensor_free(start):
         raise SearchError("the standard fragment handles Tensor-free goals only")
     want = goal_key if goal_key is not None else "1"
-    names = {a.uid: a.name for a in iter_atoms(start)}
-
-    def carried(s: Structure, present: frozenset[int]):
-        live = tuple(sorted(present & env_ids))
-        if not live:
-            return s, present, live, False
-        live_names = {names[u] for u in live}
-        return s, present, live, any(names[u] in live_names
-                                     for u in present - env_ids)
+    live_names = {a.name for a in iter_atoms(start) if a.uid in env_ids}
+    marked = any(a.name in live_names for a in iter_atoms(start)
+                 if a.uid not in env_ids)
 
     def key(state) -> tuple[str, tuple[int, ...]]:
-        s, _, live, twins = state
-        if twins:
+        s, live = state
+        if marked and live:
             return canonical_key(_mark_env(s, frozenset(live))), live
         return canonical_key(s), live
 
     def successors(state):
-        s, present, live, twins = state
+        s, live = state
         for inst in enumerate_instances(s, _SEARCH_RULES):
             if inst.rule != AI_DOWN:
-                yield inst, (apply_instance(s, inst), present, live, twins)
+                yield inst, (apply_instance(s, inst), live)
                 continue
             if fragment == "standard":
                 if seq_number(s, inst.path) != 0:
                     continue
                 inst = replace(inst, rule=AI_DOWN_LEFT)
-            yield inst, carried(apply_instance(s, inst),
-                                present - inst.consumed_ids)
+            yield inst, (apply_instance(s, inst),
+                         tuple(u for u in live if u not in inst.consumed_ids))
 
     path, exhausted, steps, visited = breadth_first(
-        carried(start, uid_set(start)), key, successors,
+        (start, tuple(sorted(env_ids & uid_set(start)))), key, successors,
         lambda k: k[0] == want and not k[1],
         budget.max_steps, budget.max_visited)
     d = None if path is None else \
@@ -206,41 +197,43 @@ def consumes(d: Derivation, env_ids: Iterable[int]) -> bool:
 # reduction of standard derivations
 # ---------------------------------------------------------------------------
 
-def _lowest_interaction(d: Derivation) -> Optional[int]:
-    for i, st in enumerate(d.steps):
-        if st.rule in (AI_DOWN, AI_DOWN_LEFT):
-            return i
-    return None
-
-
 def _erase(s: Structure, ids: frozenset[int]) -> Structure:
     return canonicalize(erase_atoms(s, ids))
+
+
+def _erase_replay(conclusion: Structure, steps: Iterable[Step],
+                  ids: frozenset[int]) -> Derivation:
+    """Replay ``steps`` upward from ``conclusion`` with the atoms ``ids``
+    erased throughout, dropping every step the erasure made vacuous."""
+    below = _erase(conclusion, ids)
+    recipe: list[RecipeEntry] = []
+    cur = below
+    for st in steps:
+        target = _erase(st.result, ids)
+        if not same_occurrences(cur, target):
+            recipe.append((st.rule, canonical_key(target), uid_set(target)))
+        cur = target
+    rebuilt = replay(Derivation(below), recipe)
+    if rebuilt is None:
+        raise SearchError("cannot replay the erased steps")
+    return rebuilt
 
 
 def reduce(d: Derivation) -> Derivation:
     """Erase the two atoms annihilated by the lowest interaction from the
     part of the derivation below it, drop that interaction together with
     every step the erasure made vacuous, and keep the rest."""
-    k = _lowest_interaction(d)
+    k = next((i for i, st in enumerate(d.steps)
+              if st.rule in (AI_DOWN, AI_DOWN_LEFT)), None)
     if k is None:
         raise SearchError("reduction needs a non-trivial derivation")
     if not is_standard(d):
         raise SearchError("reduction is defined on standard derivations")
-    ids = d.steps[k].instance.consumed_ids
-    below = _erase(d.conclusion, ids)
-    recipe: list[RecipeEntry] = []
-    cur = below
-    for st in d.steps[:k]:
-        target = _erase(st.result, ids)
-        if not same_occurrences(cur, target):  # else the erasure made it vacuous
-            recipe.append((st.rule, canonical_key(target), uid_set(target)))
-        cur = target
-    rebuilt = replay(Derivation(below), recipe)
-    if rebuilt is None:
-        raise SearchError("cannot replay the erased steps")
+    rebuilt = _erase_replay(d.conclusion, d.steps[:k],
+                            d.steps[k].instance.consumed_ids)
     if not same_occurrences(rebuilt.premise, d.steps[k].result):
         raise SearchError("erased derivation does not rejoin above the interaction")
-    out = Derivation(below, rebuilt.steps + d.steps[k + 1:])
+    out = Derivation(rebuilt.conclusion, rebuilt.steps + d.steps[k + 1:])
     if not check_derivation(out):
         raise SearchError("reduction produced an invalid derivation")
     return out
@@ -440,21 +433,22 @@ def _proc_of(s: Structure) -> Process:
     return canonical_process(from_structure(s))
 
 
-def _split_conclusion(concl: Structure, env_ids: frozenset[int]
-                      ) -> tuple[Structure, Structure]:
-    """Split a conclusion into its process part and environment part."""
+def _process_part(concl: Structure, env_ids: frozenset[int]) -> Structure:
+    """The process part of a conclusion: its Par components without
+    environment atoms."""
     live = env_ids & uid_set(concl)
     if not live:
-        return concl, ONE
+        return concl
     if isinstance(concl, Par):
-        env_parts, proc_parts = [], []
+        proc_parts = []
         for p in concl.parts:
-            (env_parts if uid_set(p) & live else proc_parts).append(p)
-        if any(uid_set(p) - env_ids for p in env_parts):
-            raise ExtractionError("environment atoms are entangled with the process")
-        return canonicalize(mk_par(proc_parts)), canonicalize(mk_par(env_parts))
+            if not uid_set(p) & live:
+                proc_parts.append(p)
+            elif uid_set(p) - env_ids:
+                raise ExtractionError("environment atoms are entangled with the process")
+        return canonicalize(mk_par(proc_parts))
     if uid_set(concl) <= env_ids:
-        return ONE, concl
+        return ONE
     raise ExtractionError("environment atoms are entangled with the process")
 
 
@@ -497,7 +491,7 @@ def _single_fire(s: Structure, uid: int) -> tuple[LtsNode, Optional[Name], Struc
     raise ExtractionError("cannot fire inside this structure")
 
 
-def _pair_base(s: Structure, i: int, j: int) -> str:
+def _pair_base(s: Structure, i: int) -> str:
     for a in iter_atoms(s):
         if a.uid == i:
             return a.name.base
@@ -524,7 +518,7 @@ def _pair_fire(s: Structure, i: int, j: int) -> tuple[LtsNode, Structure]:
             raise ExtractionError("interaction pair not found in the process part")
         ka, kb = holders
         ca, cb = s.parts[ka], s.parts[kb]
-        base = _pair_base(s, i, j)
+        base = _pair_base(s, i)
         if isinstance(ca, Sdq) and isinstance(cb, Sdq) and \
                 ca.binder == cb.binder and ca.binder.base == base:
             # communication on the restricted name: merge the scopes
@@ -555,24 +549,6 @@ def _pair_fire(s: Structure, i: int, j: int) -> tuple[LtsNode, Structure]:
             core = LtsNode(RULE_CNTXP, _proc_of(s), _proc_of(out), SILENT, (core,))
         return core, out
     raise ExtractionError("interaction pair sits under a prefix")
-
-
-def _advance_through(d: Derivation, want: Process, env_ids: frozenset[int]
-                     ) -> Optional[Derivation]:
-    """Absorb leading quantifier/Seq moves of a derivation until its
-    conclusion reads as the process ``want``; None when it never does."""
-    for _ in range(len(d.steps) + 1):
-        proc_part, _ = _split_conclusion(d.conclusion, env_ids)
-        try:
-            got = _proc_of(proc_part)
-        except BridgeError:
-            got = None
-        if got is not None and process_congruent(got, want):
-            return d
-        if not d.steps or d.steps[0].rule not in (Q_DOWN, U_DOWN):
-            return None
-        d = Derivation(d.steps[0].result, d.steps[1:])
-    return None
 
 
 def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
@@ -630,22 +606,16 @@ def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
 
 
 def _locate_env_ids(concl: Structure, env: Structure) -> frozenset[int]:
+    """The ids of the Par component of ``concl`` congruent to ``env``;
+    an environment structure is never a Par, so it is one component."""
+    if not classify_structure(env).is_environment:
+        raise ExtractionError("not an environment structure")
     want = canonical_key(env)
     if want == "1":
         return frozenset()
-    if isinstance(concl, Par):
-        for p in concl.parts:
-            if canonical_key(p) == want:
-                return uid_set(p)
-        for mask in range(1, 1 << len(concl.parts)):
-            sel = [p for k, p in enumerate(concl.parts) if mask >> k & 1]
-            if canonical_key(canonicalize(mk_par(sel))) == want:
-                out: frozenset[int] = frozenset()
-                for p in sel:
-                    out |= uid_set(p)
-                return out
-    if canonical_key(concl) == want:
-        return uid_set(concl)
+    for p in concl.parts if isinstance(concl, Par) else (concl,):
+        if canonical_key(p) == want:
+            return uid_set(p)
     raise ExtractionError("environment part not found in the conclusion")
 
 
@@ -663,43 +633,43 @@ def extract_lts(d: Derivation, e: Process, f: Process,
 
 def _extract(d: Derivation, e: Process, f: Process,
              env_ids: frozenset[int]) -> LtsNode:
-    k = _lowest_interaction(d)
-    proc_part, _env_part = _split_conclusion(d.conclusion, env_ids)
-    if k is None:
-        if env_ids & uid_set(d.conclusion):
-            raise ExtractionError("a trivial residue cannot consume environment atoms")
-        return _trivial_tree(d, e, f)
-    inst = d.steps[k].instance
-    pair = tuple(sorted(inst.consumed_ids))
-    env_hits = [u for u in pair if u in env_ids]
-    if len(env_hits) == 2:
-        raise ExtractionError("environment atoms may not annihilate each other")
-    reduced = reduce(d)
-    if len(env_hits) == 1:
-        env_atom = env_hits[0]
-        remaining = env_ids & uid_set(d.conclusion)
-        if env_atom != min(remaining):
-            raise ExtractionError("the environment must be consumed from the left")
-        proc_atom = pair[0] if pair[1] == env_atom else pair[1]
-        step_node, label, fired = _single_fire(proc_part, proc_atom)
-        lbl: ActionSeq = (label,) if label is not None else SILENT
-        g = _proc_of(fired)
-        step_node = LtsNode(step_node.rule, e, g, lbl, step_node.children)
-        nxt = _advance_through(reduced, g, env_ids)
-        if nxt is None:
-            raise ExtractionError("the reduced derivation does not rejoin the step")
-        rest = _extract(nxt, g, f, env_ids)
-        out = tran_node(step_node, rest)
-        return LtsNode(out.rule, e, f, out.label, out.children)
-    step_node, end_struct = _pair_fire(proc_part, pair[0], pair[1])
-    g = _proc_of(end_struct)
-    step_node = LtsNode(step_node.rule, e, g, SILENT, step_node.children)
-    nxt = _advance_through(reduced, g, env_ids)
-    if nxt is None:
-        raise ExtractionError("the reduced derivation does not rejoin the step")
-    rest = _extract(nxt, g, f, env_ids)
-    out = tran_node(step_node, rest)
-    return LtsNode(out.rule, e, f, out.label, out.children)
+    """Fire the interactions of ``d`` from the bottom up, each on the
+    process part of the conclusion with the atoms fired so far erased,
+    and chain the steps with the restriction merges of the residue: the
+    remaining steps replayed with every fired atom erased."""
+    nodes: list[LtsNode] = []
+    fired: frozenset[int] = frozenset()
+    live = env_ids & uid_set(d.conclusion)
+    proc_part = _process_part(d.conclusion, env_ids)
+    src = e
+    for st in d.steps:
+        if st.rule not in (AI_DOWN, AI_DOWN_LEFT):
+            continue
+        pair = tuple(sorted(st.instance.consumed_ids))
+        env_hits = [u for u in pair if u in env_ids]
+        if len(env_hits) == 2:
+            raise ExtractionError("environment atoms may not annihilate each other")
+        if env_hits:
+            if env_hits[0] != min(live - fired):
+                raise ExtractionError("the environment must be consumed from the left")
+            proc_atom = pair[0] if pair[1] == env_hits[0] else pair[1]
+            node, label, after = _single_fire(proc_part, proc_atom)
+            lbl: ActionSeq = (label,) if label is not None else SILENT
+        else:
+            node, after = _pair_fire(proc_part, *pair)
+            lbl = SILENT
+        g = _proc_of(after)
+        nodes.append(LtsNode(node.rule, src, g, lbl, node.children))
+        fired |= st.instance.consumed_ids
+        proc_part = _process_part(_erase(d.conclusion, fired), env_ids)
+        if not process_congruent(_proc_of(proc_part), g):
+            raise ExtractionError("the erased conclusion does not read as the step")
+        src = g
+    tree = _trivial_tree(_erase_replay(d.conclusion, d.steps, fired)
+                         if fired else d, src, f)
+    for node in reversed(nodes):
+        tree = tran_node(node, tree)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +793,14 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
           budget: SearchBudget = DEFAULT_BUDGET,
           via_inversion: bool = False) -> ReachVerdict:
     """Decide the reachability judgment ``e -> f with alpha`` by proof
-    search and return fully checked certificates on success."""
+    search and return fully checked certificates on success.
+
+    With ``via_inversion`` the proof certificate comes from a separate
+    ``prove`` of the compiled goal instead of composition, and
+    ``invert`` turns it into a derivation from the target, which is
+    checked and then discarded.  The standard search still runs first
+    and decides the verdict: when it fails the result is ``not_found``,
+    and the witness is extracted from its derivation."""
     t0 = time.perf_counter()
     if not is_simple_process(f):
         raise SearchError("the target process must be simple")

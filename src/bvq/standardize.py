@@ -70,13 +70,13 @@ _WINDOW_VISITED = 50_000
 
 
 def _window_search(bottom: Structure, top: Structure,
-                   relevant: Optional[frozenset[int]]) -> Optional[list[Step]]:
+                   relevant: frozenset[int]) -> Optional[list[Step]]:
     """Find a derivation of at most ``_WINDOW_DEPTH`` rules from ``bottom``
     up to ``top``, visiting at most ``_WINDOW_VISITED`` states (a
     structure, its depth, and whether the rule that made it was blocked).
     Only the last rule may be a blocked interaction: a state it makes is
-    not expanded.  ``relevant``, unless None, restricts the quantifier/Seq
-    moves to those touching the atoms the conversion is about;
+    not expanded.  ``relevant`` restricts the quantifier/Seq moves to
+    those touching the atoms the conversion is about;
     interactions may only consume atoms that die in the window."""
     target = canonical_key(top)
     target_ids = uid_set(top)
@@ -90,7 +90,7 @@ def _window_search(bottom: Structure, top: Structure,
             if inst.rule == AI_DOWN:
                 if not inst.consumed_ids <= dead:
                     continue
-            elif relevant is not None:
+            else:
                 touched = inst.consumed_uids()
                 if touched and relevant.isdisjoint(touched):
                     continue
@@ -118,16 +118,16 @@ def commute_once(d: Derivation, i: int) -> Derivation:
     relabel it when its context is already right), returning a valid
     derivation with the same endpoints.
 
-    The window is searched with the relevance filter, then once more
-    without it if that finds nothing.  Goals are tested when generated,
-    and blocked states are leaves keyed apart from clean ones.  So the
-    search finds the plain exchange (two rules) whenever a search of
-    depth 2 does; past that, its clean states are those of a strict
-    search of depth 4 in the same order, and it finds that search's
-    window unless a window ending in a blocked interaction comes first.
-    Some proofs need such a window; ``tests/test_standardize.py`` pins
-    one and compares this search with the two on random proofs.  All
-    this holds while no search reaches its visited cap."""
+    The window is searched once, with the relevance filter.  Goals are
+    tested when generated, and blocked states are leaves keyed apart
+    from clean ones.  So the search finds the plain exchange (two rules)
+    whenever a filtered search of depth 2 does; past that, its clean
+    states are those of a strict filtered search of depth 4 in the same
+    order, and it finds that search's window unless a window ending in a
+    blocked interaction comes first.  Some proofs need such a window;
+    ``tests/test_standardize.py`` pins one and compares this search with
+    the two on random proofs.  All this holds while the search does not
+    reach its visited cap."""
     _check_preconditions(d)
     st = d.steps[i]
     if st.rule not in (AI_DOWN, AI_DOWN_LEFT):
@@ -142,7 +142,7 @@ def commute_once(d: Derivation, i: int) -> Derivation:
     for other in (d.steps[i], d.steps[i + 1]):
         for c in other.instance.consumed:
             relevant |= uid_set(c)
-    window = _window_search(bottom, top, relevant) or _window_search(bottom, top, None)
+    window = _window_search(bottom, top, relevant)
     if window is None:
         raise StandardizationError("no applicable commuting conversion")
     steps = d.steps[:i] + tuple(window) + d.steps[i + 2:]

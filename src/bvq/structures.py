@@ -523,9 +523,6 @@ def canonical_key(s: Structure) -> str:
     return _canonical(s)[0]
 
 
-KEY_ONE = "1"
-
-
 def congruent(r: Structure, t: Structure) -> bool:
     return canonical_key(r) == canonical_key(t)
 

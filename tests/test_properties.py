@@ -375,21 +375,20 @@ def _labels(p) -> list:
     return []
 
 
-def _walked(s, env_ids):
-    """A state's occurrence bookkeeping recomputed by walking it: present
-    ids, sorted live environment ids and whether it has twins."""
-    live = [a for a in iter_atoms(s) if a.uid in env_ids]
-    live_names = {a.name for a in live}
-    twins = any(a.name in live_names for a in iter_atoms(s)
-                if a.uid not in env_ids)
-    return uid_set(s), tuple(sorted(a.uid for a in live)), twins
+def _has_twins(s, env_ids):
+    """Whether an atom outside the live environment of ``s`` has the name
+    of a live one, read by walking the state."""
+    live_names = {a.name for a in iter_atoms(s) if a.uid in env_ids}
+    return any(a.name in live_names for a in iter_atoms(s)
+               if a.uid not in env_ids)
 
 
 def _check_reach_keys(e, f, alpha) -> list:
     """Decide ``e -> f with alpha`` recording every state each search
-    keys and the key it takes; check each state's carried bookkeeping
+    keys and the key it takes; check each state's carried live ids
     against a walk of it, and that the keys split the states as the
-    always-marked key does.  Returns the recorded states."""
+    always-marked key does.  Returns the recorded ``(state, environment
+    ids)`` pairs."""
     calls = []  # (environment ids, [(state, key), ...]) per search
     real_bfs, real_search = search.breadth_first, search._search
 
@@ -413,12 +412,12 @@ def _check_reach_keys(e, f, alpha) -> list:
         search.breadth_first, search._search = real_bfs, real_search
     assert calls and calls[0][1]
     for env_ids, seen in calls:
-        for state, _ in seen:
-            assert state[1:] == _walked(state[0], env_ids)
+        for (s, live), _ in seen:
+            assert live == tuple(sorted(env_ids & uid_set(s)))
         pairs = {(k, _marked_key(state[0], env_ids)) for state, k in seen}
         assert len({new for new, _ in pairs}) == len(pairs)
         assert len({old for _, old in pairs}) == len(pairs)
-    return [state for _, seen in calls for state, _ in seen]
+    return [(state, env_ids) for env_ids, seen in calls for state, _ in seen]
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,4 +438,4 @@ def test_reach_key_splits_states_as_the_marked_key(e, data):
 def test_reach_key_on_a_judgment_with_twin_states():
     states = _check_reach_keys(parse_process("~e.e.~a.0"), parse_process("~a.0"),
                                parse_actions("~e;e;~a"))
-    assert any(twins for _, _, _, twins in states)
+    assert any(_has_twins(s, env_ids) for (s, _), env_ids in states)

@@ -3,20 +3,22 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bvq.bridge import classify_structure, to_structure
+from bvq.bridge import actions_to_env, classify_structure, to_structure
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, check_derivation, derivation_length,
+    start_derivation,
 )
 from bvq.ccsr import (
-    check_lts_derivation, lts_reachable, parse_actions, parse_process,
-    print_actions, print_process, process_congruent,
+    check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
+    parse_process, print_actions, print_process, process_congruent,
 )
 from bvq.search import (
-    SearchBudget, SearchError, consumes, derive, extract_lts, invert, prove,
-    reach, reduce, split, verdict_to_dict,
+    ExtractionError, SearchBudget, SearchError, consumes, derive, extract_lts,
+    invert, prove, reach, reduce, split, verdict_to_dict,
 )
 from bvq.selftest import random_process
 from bvq.standardize import is_standard
@@ -252,6 +254,85 @@ def test_extract_lts_internal_communication_only():
     assert check_lts_derivation(v.witness)
 
 
+def _witness_lines(node: dict, depth: int = 0) -> list[str]:
+    """``lts_to_dict`` output as one indented line per node."""
+    j = node["judgment"]
+    out = ["  " * depth + f"{node['rule']} {j['from']} -{j['label']}-> {j['to']}"]
+    for c in node["children"]:
+        out += _witness_lines(c, depth + 1)
+    return out
+
+
+# restriction merges read off the steps left once every fired atom is
+# erased; the last two fire a prefix first, so that residue is replayed
+MERGE_WITNESSES = [
+    (("nu a.a.0|nu a.a.0", "nu a.(a.0|a.0)", "tau"), [
+        "res_merge (nu a.a.0|nu a.a.0) -tau-> nu a.(a.0|a.0)",
+        "  refl (a.0|a.0) -tau-> (a.0|a.0)",
+    ]),
+    (("x.nu a.a.0|nu a.a.0|nu a.a.0", "nu a.(a.0|a.0|a.0)", "x"), [
+        "tran ((nu a.a.0|nu a.a.0)|x.nu a.a.0) -x-> nu a.((a.0|a.0)|a.0)",
+        "  cntxp ((nu a.a.0|nu a.a.0)|x.nu a.a.0) -x-> ((nu a.a.0|nu a.a.0)|nu a.a.0)",
+        "    act x.nu a.a.0 -x-> nu a.a.0",
+        "  tran ((nu a.a.0|nu a.a.0)|nu a.a.0) -tau-> nu a.((a.0|a.0)|a.0)",
+        "    cntxp ((nu a.a.0|nu a.a.0)|nu a.a.0) -tau-> (nu a.a.0|nu a.(a.0|a.0))",
+        "      res_merge (nu a.a.0|nu a.a.0) -tau-> nu a.(a.0|a.0)",
+        "        refl (a.0|a.0) -tau-> (a.0|a.0)",
+        "    res_merge (nu a.a.0|nu a.(a.0|a.0)) -tau-> nu a.((a.0|a.0)|a.0)",
+        "      refl ((a.0|a.0)|a.0) -tau-> ((a.0|a.0)|a.0)",
+    ]),
+    (("nu a.(a.0|c.a.0)|nu a.a.0", "nu a.(a.0|a.0|a.0)", "c"), [
+        "tran (nu a.a.0|nu a.(a.0|c.a.0)) -c-> nu a.((a.0|a.0)|a.0)",
+        "  cntxp (nu a.a.0|nu a.(a.0|c.a.0)) -c-> (nu a.a.0|nu a.(a.0|a.0))",
+        "    res_pass nu a.(a.0|c.a.0) -c-> nu a.(a.0|a.0)",
+        "      cntxp (a.0|c.a.0) -c-> (a.0|a.0)",
+        "        act c.a.0 -c-> a.0",
+        "  res_merge (nu a.a.0|nu a.(a.0|a.0)) -tau-> nu a.((a.0|a.0)|a.0)",
+        "    refl ((a.0|a.0)|a.0) -tau-> ((a.0|a.0)|a.0)",
+    ]),
+]
+
+
+@pytest.mark.parametrize("judgment,lines", MERGE_WITNESSES)
+def test_restriction_merge_witnesses(judgment, lines):
+    e, f, alpha = parse_process(judgment[0]), parse_process(judgment[1]), \
+        parse_actions(judgment[2])
+    v = reach(e, f, alpha)
+    assert v.proved and check_lts_derivation(v.witness)
+    assert process_congruent(v.witness.source, e)
+    assert process_congruent(v.witness.target, f)
+    assert _witness_lines(lts_to_dict(v.witness)) == lines
+    assert _witness_lines(lts_to_dict(extract_lts(v.standard, e, f,
+                                                  actions_to_env(alpha)))) == lines
+
+
+def test_extract_lts_replays_once_per_witness(monkeypatch):
+    import bvq.search as search_module
+    e, f = parse_process("nu a.(a.b.0|~a.0)|c.0"), parse_process("nu a.(0|0)")
+    v = reach(e, f, parse_actions("b;c"))
+    assert v.proved
+    assert sum(st.rule in (AI_DOWN, AI_DOWN_LEFT) for st in v.standard.steps) == 3
+    calls = []
+    real = search_module.replay
+    monkeypatch.setattr(search_module, "replay",
+                        lambda *args: calls.append(args) or real(*args))
+    again = extract_lts(v.standard, e, f, parse_structure("<~b;~c>"))
+    assert len(calls) == 1
+    assert lts_to_dict(again) == lts_to_dict(v.witness)
+
+
+def test_extract_lts_rejects_an_absent_or_non_environment_structure():
+    # 22 Par components: locating the environment must not try subsets
+    e = parse_process("|".join(f"a{k}.0" for k in range(22)))
+    d = start_derivation(canonicalize(to_structure(e)))
+    t0 = time.perf_counter()
+    with pytest.raises(ExtractionError, match="not found"):
+        extract_lts(d, e, e, parse_structure("~z"))
+    assert time.perf_counter() - t0 < 5
+    with pytest.raises(ExtractionError, match="not an environment"):
+        extract_lts(d, e, e, parse_structure("[~a0;~a1]"))
+
+
 def test_reach_examples():
     v = reach(parse_process("nu a.(a.b.0|~a.0)"), parse_process("nu a.(0|0)"),
               parse_actions("b"))
@@ -325,9 +406,9 @@ def test_reach_with_structured_target():
 
 def test_reach_with_twin_occurrences_of_the_observed_label():
     # the process keeps its own copy of the observed label; only the
-    # environment occurrence may be consumed.  Only states with such
-    # twins are keyed by a marked copy; the search counts are those of
-    # marking every state.
+    # environment occurrence may be consumed.  Such judgments key their
+    # states by a marked copy; the search counts are those of marking
+    # every state.
     cases = [
         ("x.~b.0|b.0", "b.0", "x;~b", 536, 204),
         ("a.0|~a.~d.0", "a.0|~d.0", "~a", 53, 40),
