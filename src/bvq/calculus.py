@@ -29,7 +29,7 @@ from .structures import (
     _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
     assign_ids, canonical_key, canonicalize, free_bases, iter_atoms, mk_copar,
     mk_par, mk_seq, parse_structure, print_structure, negate, replace_at,
-    strip_ids, subterm_at, uid_set,
+    json_field, strip_ids, subterm_at, uid_set,
 )
 
 AI_DOWN = "ai_down"
@@ -598,13 +598,23 @@ def derivation_from_dict(data: dict) -> Derivation:
     Where several instances match a step (two identical atoms, say), the
     choice is backtracked until the later steps match as well.
     """
-    steps = data["steps"]
-    d, deepest = _backtrack(start_derivation(parse_structure(data["conclusion"])),
+    conclusion = json_field(data, "conclusion", str, "derivation")
+    steps = json_field(data, "steps", list, "derivation")
+    prem = json_field(data, "premise", str, "derivation", None)
+    for i, sd in enumerate(steps):
+        where = f"step {i}"
+        for name in ("rule", "redexBefore", "redexAfter"):
+            json_field(sd, name, str, where)
+        json_field(sd, "consumedIds", list, where, [], item=int)
+        if not all(len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], int)
+                   for p in json_field(sd, "path", list, where, item=list)):
+            raise ValueError(f"{where}: field 'path' is not a list of "
+                             "[operator, index] pairs")
+    d, deepest = _backtrack(start_derivation(parse_structure(conclusion)),
                             steps, _json_candidates)
     if d is None:
         raise DerivationError(f"step {deepest}: no matching "
                               f"{steps[deepest]['rule']} instance")
-    prem = data.get("premise")
     if prem is not None and canonical_key(parse_structure(prem)) != canonical_key(d.premise):
         raise DerivationError("premise does not match the replayed steps")
     return d

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Union
 
 from .structures import (
     _IDENT_START, Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure,
-    _Scanner, canonical_key, canonicalize, mk_seq,
+    _Scanner, canonical_key, canonicalize, json_field, mk_seq,
 )
 
 TAU = None  # the silent action; an ActionSeq is a tuple over Name | TAU
@@ -647,11 +647,12 @@ def lts_to_dict(t: LtsNode) -> dict:
 
 
 def lts_from_dict(data: dict) -> LtsNode:
-    j = data["judgment"]
+    j = json_field(data, "judgment", dict, "LTS node")
     return LtsNode(
-        data["rule"],
-        parse_process(j["from"]),
-        parse_process(j["to"]),
-        parse_actions(j["label"]),
-        tuple(lts_from_dict(c) for c in data.get("children", ())),
+        json_field(data, "rule", str, "LTS node"),
+        parse_process(json_field(j, "from", str, "judgment")),
+        parse_process(json_field(j, "to", str, "judgment")),
+        parse_actions(json_field(j, "label", str, "judgment")),
+        tuple(lts_from_dict(c)
+              for c in json_field(data, "children", list, "LTS node", [])),
     )

@@ -228,6 +228,18 @@ class SystemExit2(Exception):
     pass
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog=PROG,
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("process")
     p.add_argument("target", nargs="?")
     p.add_argument("actions", nargs="?")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=8)
     p.add_argument("--milner", action="store_true",
                    help="restrict restriction to its Milner reading")
     common(p)
@@ -323,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the randomized self checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--processes", type=int, default=40)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--proofs", type=int, default=50)
+    p.add_argument("--processes", type=_count, default=40)
+    p.add_argument("--depth", type=_count, default=5)
+    p.add_argument("--proofs", type=_count, default=50)
     common(p)
     p.set_defaults(fn=cmd_selftest)
 

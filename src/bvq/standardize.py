@@ -65,6 +65,7 @@ def relabel(d: Derivation) -> Derivation:
 
 
 _WINDOW_RULES = frozenset({AI_DOWN, Q_DOWN, U_DOWN})
+_AI_ONLY = frozenset({AI_DOWN})
 _WINDOW_DEPTH = 4
 _WINDOW_VISITED = 50_000
 
@@ -77,32 +78,66 @@ def _window_search(bottom: Structure, top: Structure,
     Only the last rule may be a blocked interaction: a state it makes is
     not expanded.  ``relevant`` restricts the quantifier/Seq moves to
     those touching the atoms the conversion is about;
-    interactions may only consume atoms that die in the window."""
+    interactions may only consume atoms that die in the window.
+
+    The search is breadth-first and is run once per bound ``D``, from the
+    interactions ``bottom`` owes up to ``_WINDOW_DEPTH``.  A state owes
+    ``owed = |ids ∩ dead| / 2`` interactions: each allowed interaction
+    eats two dead atoms, no other rule changes ids, and ``top`` holds no
+    dead atom.  A run keeps only states with ``depth + owed <= D``: one
+    with ``depth + owed == D`` is expanded with interactions alone, since
+    any other rule would raise the sum past ``D``.
+
+    The first window found is the one the search bounded by
+    ``_WINDOW_DEPTH`` alone finds.  Along a path ``depth + owed`` never
+    decreases (an interaction keeps it, any other rule raises it by one),
+    and a goal owes nothing, so every state on a window of ``d <= D``
+    rules is kept.  By induction on the unbounded search's queue, each
+    state a run keeps is generated there too, at the same depth, from
+    the same parent and in the same order: a state's first parent in the
+    unbounded search lies at no greater depth than any other parent, so
+    it is kept as well, and it is expanded with that edge.  So a run
+    with ``D`` below the unbounded window's length finds nothing, and
+    the first run with ``D`` at that length finds that window.  A run
+    keeps a subset of the unbounded search's states in its order, so one
+    that stops at ``_WINDOW_VISITED`` means the unbounded search would
+    have stopped there too, and the search gives up.  Only the converse
+    is not exact: where the unbounded search would pass its cap, a
+    bounded run may still find a window."""
     target = canonical_key(top)
     target_ids = uid_set(top)
     dead = uid_set(bottom) - target_ids
 
-    def successors(state: tuple[Structure, int, bool]):
-        cur, depth, dirty = state
-        if dirty or depth >= _WINDOW_DEPTH:
-            return
-        for inst in enumerate_instances(cur, _WINDOW_RULES):
-            if inst.rule == AI_DOWN:
-                if not inst.consumed_ids <= dead:
-                    continue
-            else:
-                touched = inst.consumed_uids()
-                if touched and relevant.isdisjoint(touched):
-                    continue
-            blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
-            yield inst, (apply_instance(cur, inst), depth + 1, blocked)
+    def key(state: tuple[Structure, int, bool]):
+        return canonical_key(state[0]), uid_set(state[0]), state[2]
 
-    path = breadth_first(
-        (bottom, 0, False),
-        lambda st: (canonical_key(st[0]), uid_set(st[0]), st[2]),
-        successors, lambda k: k[0] == target and k[1] == target_ids,
-        math.inf, _WINDOW_VISITED)[0]
-    return None if path is None else [Step(inst, st[0]) for inst, st in path]
+    for bound in range(len(dead) // 2, _WINDOW_DEPTH + 1):
+        def successors(state: tuple[Structure, int, bool]):
+            cur, depth, dirty = state
+            if dirty or depth >= bound:
+                return
+            owed = len(uid_set(cur) & dead) // 2
+            rules = _WINDOW_RULES if depth + owed < bound else _AI_ONLY
+            for inst in enumerate_instances(cur, rules):
+                if inst.rule == AI_DOWN:
+                    if not inst.consumed_ids <= dead:
+                        continue
+                else:
+                    touched = inst.consumed_uids()
+                    if touched and relevant.isdisjoint(touched):
+                        continue
+                blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
+                yield inst, (apply_instance(cur, inst), depth + 1, blocked)
+
+        path, capped, _, _ = breadth_first(
+            (bottom, 0, False), key, successors,
+            lambda k: k[0] == target and k[1] == target_ids,
+            math.inf, _WINDOW_VISITED)
+        if path is not None:
+            return [Step(inst, st[0]) for inst, st in path]
+        if capped:
+            return None
+    return None
 
 
 def _check_preconditions(d: Derivation) -> None:
@@ -118,8 +153,11 @@ def commute_once(d: Derivation, i: int) -> Derivation:
     relabel it when its context is already right), returning a valid
     derivation with the same endpoints.
 
-    The window is searched once, with the relevance filter.  Goals are
-    tested when generated, and blocked states are leaves keyed apart
+    The window is searched once, with the relevance filter, by
+    ``_window_search``: breadth first, deepened one rule at a time from
+    the interactions the window still owes, and returning the window a
+    plain breadth-first search of depth ``_WINDOW_DEPTH`` would.  Goals
+    are tested when generated, and blocked states are leaves keyed apart
     from clean ones.  So the search finds the plain exchange (two rules)
     whenever a filtered search of depth 2 does; past that, its clean
     states are those of a strict filtered search of depth 4 in the same

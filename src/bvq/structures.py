@@ -233,6 +233,35 @@ def parse_structure(text: str) -> Structure:
     return s
 
 
+_JSON_KINDS = {str: ("a string", "strings"), int: ("an integer", "integers"),
+               list: ("a list", "lists"), dict: ("an object", "objects")}
+
+
+_REQUIRED = object()
+
+
+def json_field(data, name: str, kind: type, where: str, default=_REQUIRED,
+               item: Optional[type] = None):
+    """``data[name]`` of a parsed JSON object, checked to be a ``kind``
+    (a list of ``item``s, if ``item`` is given).  An absent field is
+    ``default``; with no default it is an error, as is any other shape.
+    Raises ``ValueError`` naming ``where`` and the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if name not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no field '{name}'")
+        return default
+    value = data[name]
+    if item is None and not isinstance(value, kind):
+        raise ValueError(f"{where}: field '{name}' is not {_JSON_KINDS[kind][0]}")
+    if item is not None and not (isinstance(value, list)
+                                 and all(isinstance(v, item) for v in value)):
+        raise ValueError(f"{where}: field '{name}' is not a list of "
+                         f"{_JSON_KINDS[item][1]}")
+    return value
+
+
 def print_structure(s: Structure) -> str:
     try:
         if isinstance(s, One):

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from bvq.cli import main
 
@@ -139,3 +142,68 @@ def test_deep_process_is_usage_error(capsys):
     code, out, err = run(capsys, "reach", "a." * 1500 + "0", "0", "a")
     assert code == 2 and not out
     assert err.strip() == "bvq: input nests too deeply"
+
+
+GOOD_STEP = {"rule": "ai_down", "path": [], "redexBefore": "[a;~a]",
+             "redexAfter": "1"}
+
+
+@pytest.mark.parametrize("verb,data,field", [
+    ("check", {}, "conclusion"),
+    ("standardize", {}, "conclusion"),
+    ("check", {"conclusion": "[a;~a]"}, "steps"),
+    ("standardize", {"conclusion": "[a;~a]"}, "steps"),
+    ("check", {"conclusion": "[a;~a]", "steps": "x"}, "steps"),
+    ("standardize", {"conclusion": "[a;~a]", "steps": "x"}, "steps"),
+    ("check", {"conclusion": "[a;~a]", "steps": [
+        {k: v for k, v in GOOD_STEP.items() if k != "path"}]}, "path"),
+    ("standardize", {"conclusion": "[a;~a]", "steps": [
+        {k: v for k, v in GOOD_STEP.items() if k != "path"}]}, "path"),
+    ("check", {"conclusion": "[a;~a]", "steps": [
+        dict(GOOD_STEP, path=[["par"]])]}, "path"),
+    ("check", {"conclusion": "[a;~a]", "steps": [
+        dict(GOOD_STEP, consumedIds="01")]}, "consumedIds"),
+    ("check", {"conclusion": "[a;~a]", "steps": [GOOD_STEP], "premise": 1},
+     "premise"),
+    ("check", [GOOD_STEP], "derivation"),
+    ("check --lts", {}, "judgment"),
+    ("check --lts", {"rule": "act", "judgment": {"from": "a.0", "to": "0"}},
+     "label"),
+    ("check --lts", {"rule": "act", "children": {},
+                     "judgment": {"from": "a.0", "to": "0", "label": "a"}},
+     "children"),
+])
+def test_malformed_json_is_usage_error(capsys, monkeypatch, verb, data, field):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run(capsys, *verb.split(), "-")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and err.startswith("bvq: ")
+    assert field in err
+
+
+def test_well_formed_json_still_checks(capsys, monkeypatch):
+    data = {"conclusion": "[a;~a]", "steps": [GOOD_STEP], "premise": "1"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run(capsys, "check", "-")[:2] == (0, "valid\n")
+    data["steps"][0] = dict(GOOD_STEP, consumedIds=[0, 7])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, _ = run(capsys, "check", "-")
+    assert code == 1 and "no matching ai_down instance" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("lts", "a.0", "0", "a", "--depth", "-1"),
+    ("selftest", "--processes", "-1"),
+    ("selftest", "--proofs", "-1"),
+    ("selftest", "--depth", "-1"),
+    ("selftest", "--proofs", "x"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "non-negative integer" in err
+
+
+def test_zero_depth_is_a_count(capsys):
+    code, out, _ = run(capsys, "lts", "a.0", "0", "a", "--depth", "0")
+    assert code == 1 and out.strip() == "unreachable"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,9 @@ from bvq.calculus import (
     apply_instance, replay, start_derivation,
 )
 from bvq.standardize import (
-    StandardizationError, commute_once, is_right_context, is_standard,
-    relabel, seq_number, seq_numbers, standardize,
+    _WINDOW_DEPTH, _WINDOW_VISITED, StandardizationError, _window_search,
+    commute_once, is_right_context, is_standard, relabel, seq_number,
+    seq_numbers, standardize,
 )
 from bvq.structures import (
     canonical_key, congruent, iter_atoms, parse_structure, print_structure,
@@ -20,6 +22,9 @@ from bvq.structures import (
 )
 from bvq.search import derive
 from bvq.selftest import random_proof, random_trivial_derivation
+
+# the package's ``standardize`` function hides the module of that name
+standardize_module = sys.modules["bvq.standardize"]
 
 
 def test_right_context_examples():
@@ -164,12 +169,9 @@ def _reference_window(bottom, top, max_depth, relevant, loose, max_visited):
     return None if path is None else [Step(inst, st[0]) for inst, st in path]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_one_window_search_finds_the_exchange_else_the_strict_window(seed):
-    # the filtered window is the plain exchange (loose, depth 2) when
-    # there is one, and otherwise the strict window of depth 4
-    d = random_proof(random.Random(seed), max_atoms=8, max_steps=6)
+def _blocked_windows(d):
+    """``(i, bottom, top, relevant)`` for each blocked interaction ``i``
+    with a rule above it, as ``commute_once`` sets up its window."""
     for i, n in seq_numbers(d):
         if n == 0 or i + 1 >= len(d.steps):
             continue
@@ -179,11 +181,63 @@ def test_one_window_search_finds_the_exchange_else_the_strict_window(seed):
         for other in d.steps[i:i + 2]:
             for c in other.instance.consumed:
                 relevant |= uid_set(c)
+        yield i, bottom, top, relevant
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_one_window_search_finds_the_exchange_else_the_strict_window(seed):
+    # the filtered window is the plain exchange (loose, depth 2) when
+    # there is one, and otherwise the strict window of depth 4
+    d = random_proof(random.Random(seed), max_atoms=8, max_steps=6)
+    for i, bottom, top, relevant in _blocked_windows(d):
         want = _reference_window(bottom, top, 2, relevant, True, 2000) or \
             _reference_window(bottom, top, 4, relevant, False, 8000)
         if want is None:
             continue
         assert commute_once(d, i).steps == d.steps[:i] + tuple(want) + d.steps[i + 2:]
+
+
+def _step_keys(steps):
+    return [(s.rule, s.instance.path, s.instance.consumed_ids,
+             canonical_key(s.result)) for s in steps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_deepened_window_search_returns_the_breadth_first_window(seed):
+    # the search deepened on the interactions a window owes returns the
+    # window of one breadth-first search of depth 4, or None with it
+    d = random_proof(random.Random(seed), max_atoms=8, max_steps=6)
+    for _, bottom, top, relevant in _blocked_windows(d):
+        want = _reference_window(bottom, top, _WINDOW_DEPTH, relevant, True,
+                                 _WINDOW_VISITED)
+        got = _window_search(bottom, top, relevant)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _step_keys(got) == _step_keys(want)
+
+
+def test_window_search_expands_only_states_that_can_still_close(monkeypatch):
+    # [e;<~e;[a;~a]>] proved by its blocked inner pair, then e against ~e:
+    # the window owes two interactions, so a quantifier/Seq move is tried
+    # only from the conclusion (63 successor applications before the
+    # search was deepened on what a window owes)
+    d = start_derivation(parse_structure("[e;<~e;[a;~a]>]"))
+    d = _ai_step(d, blocked=True)
+    d = _ai_step(d)
+    assert [n for _, n in seq_numbers(d)] == [1, 0]
+    applied = []
+
+    def counting(s, inst):
+        applied.append(inst.rule)
+        return apply_instance(s, inst)
+
+    monkeypatch.setattr(standardize_module, "apply_instance", counting)
+    out = standardize(d)
+    assert out.rules() == ["q_down", "ai_down_left", "ai_down_left"]
+    assert check_derivation(out) and is_standard(out)
+    assert len(applied) <= 14
 
 
 # (seed, draw) of random_proof(random.Random(seed), max_atoms=12,

@@ -11,10 +11,13 @@ differ, and exits 1 on any difference, 0 when every operation agrees.
 When a digest differs, the report also names the top-level output
 fields that differ (such as ``proof``) and ends with a count per field.
 
-With ``standardize_battery``, the 200 random proofs of acceptance
-criterion 5 (``random.Random(20260808)``, 12 atoms, 8 steps) are run
-through ``bvq standardize`` as well, as the group ``criterion_5``.  They
-are drawn once, with this checkout's ``bvq``, and handed to both trees.
+With ``standardize_battery``, two groups of random proofs are run
+through ``bvq standardize`` as well: ``criterion_5``, the 200 proofs of
+acceptance criterion 5 (``random.Random(20260808)``, 12 atoms, 8
+steps), and ``random_proofs``, a fixed sweep of 1,000 (five draws from
+``random.Random(seed)`` for each seed 0-99, at 12 atoms/8 steps and at
+8 atoms/6 steps).  They are drawn once, with this checkout's ``bvq``,
+and handed to both trees.
 
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
@@ -35,33 +38,40 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 WORKLOADS = ("reach_oracle", "prove_closure", "standardize_battery")
 FIELDS = ("rc", "digest", "steps", "visited")
-CRITERION_5 = "criterion_5"
 
 
-def criterion_5_ops() -> list[dict]:
-    """Acceptance criterion 5's random proofs as ``bvq standardize``
-    operations, drawn with this checkout's ``bvq``."""
+def random_proof_groups() -> list[tuple[str, list[dict]]]:
+    """The groups ``criterion_5`` and ``random_proofs`` as ``bvq
+    standardize`` operations, drawn with this checkout's ``bvq``."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from bvq.calculus import derivation_to_dict
     from bvq.selftest import random_proof
 
-    rng = random.Random(20260808)
-    return [{"id": k, "argv": ["standardize", "-"],
-             "stdin": json.dumps(derivation_to_dict(
-                 random_proof(rng, max_atoms=12, max_steps=8)))}
-            for k in range(200)]
+    def draws(rng: random.Random, n: int, atoms: int, steps: int):
+        return [random_proof(rng, max_atoms=atoms, max_steps=steps)
+                for _ in range(n)]
+
+    criterion_5 = draws(random.Random(20260808), 200, 12, 8)
+    sweep = [d for atoms, steps in ((12, 8), (8, 6)) for seed in range(100)
+             for d in draws(random.Random(seed), 5, atoms, steps)]
+    return [(name, [{"id": k, "argv": ["standardize", "-"],
+                     "stdin": json.dumps(derivation_to_dict(d))}
+                    for k, d in enumerate(proofs)])
+            for name, proofs in (("criterion_5", criterion_5),
+                                 ("random_proofs", sweep))]
 
 
-def run_ops(workloads: list[str], every: int, extra: list[dict]) -> None:
-    """Worker: run the selected operations, then the ``extra`` ones as
-    the group ``criterion_5``, with whatever ``bvq`` is on the path and
-    print one JSON line per operation."""
+def run_ops(workloads: list[str], every: int,
+            extra: list[tuple[str, list[dict]]]) -> None:
+    """Worker: run the selected operations, then the ``extra`` groups,
+    with whatever ``bvq`` is on the path and print one JSON line per
+    operation."""
     sys.path.insert(0, BENCH)
     import corpus
     import ops
 
     groups = [(w, corpus.load(w)["ops"]) for w in workloads]
-    for w, group in groups + [(CRITERION_5, extra)]:
+    for w, group in groups + extra:
         for op in group[::every]:
             res = ops.execute(op)
             try:
@@ -123,8 +133,8 @@ def main(argv=None) -> int:
     if not args.against:
         ap.error("--against is required")
     trees = (ROOT, args.against)
-    extra = json.dumps(criterion_5_ops() if "standardize_battery" in args.workload
-                       else [])
+    extra = json.dumps(random_proof_groups()
+                       if "standardize_battery" in args.workload else [])
     with tempfile.TemporaryFile("w+") as a, tempfile.TemporaryFile("w+") as b:
         procs = [_spawn(t, args.workload, args.every, extra, f)
                  for t, f in zip(trees, (a, b))]
