@@ -203,12 +203,9 @@ def _step_keys(steps):
              canonical_key(s.result)) for s in steps]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_deepened_window_search_returns_the_breadth_first_window(seed):
+def _assert_deepened_windows_match(d):
     # the search deepened on the interactions a window owes returns the
     # window of one breadth-first search of depth 4, or None with it
-    d = random_proof(random.Random(seed), max_atoms=8, max_steps=6)
     for _, bottom, top, relevant in _blocked_windows(d):
         want = _reference_window(bottom, top, _WINDOW_DEPTH, relevant, True,
                                  _WINDOW_VISITED)
@@ -216,6 +213,23 @@ def test_deepened_window_search_returns_the_breadth_first_window(seed):
         assert (got is None) == (want is None)
         if want is not None:
             assert _step_keys(got) == _step_keys(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_deepened_window_search_returns_the_breadth_first_window(seed):
+    _assert_deepened_windows_match(
+        random_proof(random.Random(seed), max_atoms=8, max_steps=6))
+
+
+def test_deepened_window_search_returns_a_four_rule_window():
+    # random proofs seldom need a window of four rules; this one does
+    d = start_derivation(parse_structure("[a; fo b.<~a;[b;~b]>]"))
+    d = _ai_step(d, blocked=True)
+    d = _ai_step(d)
+    window = _window_search(*list(_blocked_windows(d))[0][1:])
+    assert [s.rule for s in window] == ["u_down", "q_down", "ai_down", "ai_down"]
+    _assert_deepened_windows_match(d)
 
 
 def test_window_search_expands_only_states_that_can_still_close(monkeypatch):
