@@ -89,7 +89,7 @@ def _window_search(bottom: Structure, top: Structure,
     any other rule would raise the sum past ``D``.
 
     The first window found is the one the search bounded by
-    ``_WINDOW_DEPTH`` alone finds.  Along a path ``depth + owed`` never
+    ``_WINDOW_DEPTH`` alone (the unbounded search) finds.  Along a path ``depth + owed`` never
     decreases (an interaction keeps it, any other rule raises it by one),
     and a goal owes nothing, so every state on a window of ``d <= D``
     rules is kept.  By induction on the unbounded search's queue, each

@@ -234,9 +234,8 @@ def test_deepened_window_search_returns_a_four_rule_window():
 
 def test_window_search_expands_only_states_that_can_still_close(monkeypatch):
     # [e;<~e;[a;~a]>] proved by its blocked inner pair, then e against ~e:
-    # the window owes two interactions, so a quantifier/Seq move is tried
-    # only from the conclusion (63 successor applications before the
-    # search was deepened on what a window owes)
+    # the window owes two interactions and needs one Seq move (63 successor
+    # applications before the search was deepened on what a window owes)
     d = start_derivation(parse_structure("[e;<~e;[a;~a]>]"))
     d = _ai_step(d, blocked=True)
     d = _ai_step(d)

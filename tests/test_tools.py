@@ -15,10 +15,9 @@ def _corpus_diff(against: str, workload: str = "prove_closure"
         capture_output=True, text=True, timeout=300)
 
 
-def _copy_src(tmp_path) -> str:
+def _copy_src(tmp_path) -> None:
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    return str(tmp_path)
 
 
 def test_corpus_diff_of_a_tree_against_itself_reports_no_difference():
