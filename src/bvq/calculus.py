@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .structures import (
     _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
-    assign_ids, canonical_key, canonicalize, free_bases, iter_atoms, mk_copar,
-    mk_par, mk_seq, parse_structure, print_structure, negate, replace_at,
-    json_field, strip_ids, subterm_at, uid_set,
+    assign_ids, canonical_key, canonicalize, flat_key, free_bases, iter_atoms,
+    mk_copar, mk_par, mk_seq, parse_structure, print_structure, negate,
+    replace_at, json_field, strip_ids, subterm_at, uid_set,
 )
 
 AI_DOWN = "ai_down"
@@ -76,8 +76,14 @@ class RuleInstance:
 
     def sort_key(self):
         return (_RULE_ORDER.get(self.rule, 9), self.path,
-                tuple(canonical_key(c) for c in self.consumed),
-                canonical_key(self.replacement), self.consumed_uids())
+                tuple(_key(c) for c in self.consumed),
+                _key(self.replacement), self.consumed_uids())
+
+
+def _key(s: Structure) -> str:
+    """``canonical_key(s)``, read from the flattened views where ``s`` is
+    quantifier-free."""
+    return flat_key(s) or canonical_key(s)
 
 
 def _occurrence_ids(structures: tuple[Structure, ...]) -> tuple[int, ...]:
@@ -248,9 +254,11 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
     deterministically ordered.  Instances whose premise is congruent to
     the conclusion are dropped as no-ops, and of the instances with the
     same rule, path, premise and consumed ids only the first is kept.
+    Both filters read the premise's key from ``premise_key``, so no
+    instance is applied here: a caller builds only the premises it keeps.
 
     ``_node_instances`` never generates two kinds of instance that these
-    filters would drop anyway, so none is applied and canonicalized:
+    filters would drop anyway, so none is keyed:
 
     * the mirror ``(j, i)`` of a ``q_down`` pair, or of a ``u_down`` pair
       of two quantifiers: it consumes the same children as ``(i, j)``
@@ -274,8 +282,7 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
                 # coincide, so skip the no-op/duplicate filtering
                 out.append(inst)
                 continue
-            premise = apply_instance(s, inst)
-            pk = canonical_key(premise)
+            pk = premise_key(s, inst)
             if pk == root_key:
                 continue
             dedup = (inst.rule, inst.path, pk, inst.consumed_uids())
@@ -300,21 +307,39 @@ def _remove_children(parts: tuple[Structure, ...], consumed: tuple[Structure, ..
     return rest
 
 
-def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
-    """Rewrite ``s`` at the instance and return the canonical premise."""
-    cached = getattr(inst, "_applied", None)
-    if cached is not None and cached[0] is s:
-        return cached[1]
+def _rewrite(s: Structure, inst: RuleInstance) -> Structure:
+    """``s`` rewritten at the instance, not canonicalized."""
     node = subterm_at(s, inst.path)
     if not isinstance(node, Par):
         raise DerivationError("rule instance path must address a Par node")
     rest = _remove_children(node.parts, inst.consumed)
     if rest is None:
         raise DerivationError("instance does not match the structure")
-    new_node = mk_par(rest + [inst.replacement])
-    out = canonicalize(replace_at(s, inst.path, new_node))
+    return replace_at(s, inst.path, mk_par(rest + [inst.replacement]))
+
+
+def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
+    """Rewrite ``s`` at the instance and return the canonical premise."""
+    cached = getattr(inst, "_applied", None)
+    if cached is not None and cached[0] is s:
+        return cached[1]
+    out = canonicalize(_rewrite(s, inst))
     object.__setattr__(inst, "_applied", (s, out))
     return out
+
+
+def premise_key(s: Structure, inst: RuleInstance) -> str:
+    """``canonical_key(apply_instance(s, inst))`` without building the
+    canonical premise: only the path down to the redex is rebuilt, and
+    the key is read from the flattened views (``structures.flat_key``),
+    where every sibling off the path keeps its cached view.  A premise
+    holding a quantifier is applied and canonicalized instead."""
+    cached = getattr(inst, "_premise_key", None)
+    if cached is not None and cached[0] is s:
+        return cached[1]
+    key = flat_key(_rewrite(s, inst)) or canonical_key(apply_instance(s, inst))
+    object.__setattr__(inst, "_premise_key", (s, key))
+    return key
 
 
 def extend(d: Derivation, inst: RuleInstance) -> Derivation:

@@ -39,7 +39,15 @@ def _budget(args) -> SearchBudget:
     visited = args.budget
     if visited is None:
         env = os.environ.get("BVQ_BUDGET")
-        visited = int(env) if env else DEFAULT_BUDGET.max_visited
+        visited = DEFAULT_BUDGET.max_visited
+        if env:
+            try:
+                visited = int(env)
+            except ValueError:
+                visited = 0
+            if visited <= 0:
+                raise ValueError(
+                    f"BVQ_BUDGET must be a positive integer, got {env!r}")
     return SearchBudget(max_steps=max(4 * visited, 1), max_visited=visited)
 
 

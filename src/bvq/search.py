@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
     Step, _remove_children, apply_instance, breadth_first, check_derivation,
-    derivation_to_dict, enumerate_instances, replay, same_occurrences,
-    seq_number, start_derivation,
+    derivation_to_dict, enumerate_instances, premise_key, replay,
+    same_occurrences, seq_number, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
@@ -41,9 +41,9 @@ from .bridge import actions_to_env, classify_structure, env_to_actions
 from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
-    canonical_key, canonicalize, erase_atoms, is_tensor_free, iter_atoms,
-    map_atoms, mk_copar, mk_par, mk_seq, negate, replace_at, strip_ids,
-    subterm_at, uid_set,
+    canonical_key, canonicalize, erase_atoms, flat_key, is_tensor_free,
+    iter_atoms, map_atoms, mk_copar, mk_par, mk_seq, negate, replace_at,
+    strip_ids, subterm_at, uid_set,
 )
 
 
@@ -101,13 +101,19 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     The goal is any state matching ``goal_key`` (the unit when None)
     whose tracked environment atoms have all been consumed.
 
-    A search state is ``(structure, live ids)``: the sorted ids of the
-    environment atoms the structure still holds.  No rule creates an
-    occurrence, and only an interaction deletes any, so an interaction
-    successor's live ids are its parent's minus the consumed pair and
-    every other successor keeps its parent's.
+    A search state is ``(parent, instance, live ids)``: the structure is
+    the premise of the instance applied to the parent structure (the
+    start is ``(start, None, live ids)``), and the live ids are the
+    sorted ids of the environment atoms it still holds.  A state's
+    structure is built (``_state_structure``) only when the search
+    expands the state or returns it on the path; most successors are
+    dropped as already visited, keyed without being built.  No rule
+    creates an occurrence, and only an interaction deletes any, so an
+    interaction successor's live ids are its parent's minus the consumed
+    pair and every other successor keeps its parent's.
 
-    The key is a canonical key and the live ids.  States that differ
+    The key is the canonical key of the structure (``premise_key``) and
+    the live ids.  States that differ
     only in which of two twin occurrences the environment still owns
     have different futures; a twin is an atom outside the live set with
     the name (base and polarity) of a live one.  So the key must split
@@ -128,7 +134,8 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
       up to the chain cap of ``structures._MAX_CHAIN_PERms``).
 
     Whether states are keyed by their marked copy is therefore decided
-    once, from the start: exactly when the start has twins.
+    once, from the start: exactly when the start has twins.  Such a
+    judgment builds every state's structure to mark it.
     """
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
@@ -140,31 +147,43 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
                  if a.uid not in env_ids)
 
     def key(state) -> tuple[str, tuple[int, ...]]:
-        s, live = state
+        parent, inst, live = state
         if marked and live:
-            return canonical_key(_mark_env(s, frozenset(live))), live
-        return canonical_key(s), live
+            m = _mark_env(_state_structure(state), frozenset(live))
+            return flat_key(m) or canonical_key(m), live
+        if inst is None:
+            return canonical_key(parent), live
+        return premise_key(parent, inst), live
 
     def successors(state):
-        s, live = state
+        s = _state_structure(state)
+        live = state[2]
         for inst in enumerate_instances(s, _SEARCH_RULES):
             if inst.rule != AI_DOWN:
-                yield inst, (apply_instance(s, inst), live)
+                yield inst, (s, inst, live)
                 continue
             if fragment == "standard":
                 if seq_number(s, inst.path) != 0:
                     continue
                 inst = replace(inst, rule=AI_DOWN_LEFT)
-            yield inst, (apply_instance(s, inst),
+            yield inst, (s, inst,
                          tuple(u for u in live if u not in inst.consumed_ids))
 
     path, exhausted, steps, visited = breadth_first(
-        (start, tuple(sorted(env_ids & uid_set(start)))), key, successors,
-        lambda k: k[0] == want and not k[1],
+        (start, None, tuple(sorted(env_ids & uid_set(start)))), key,
+        successors, lambda k: k[0] == want and not k[1],
         budget.max_steps, budget.max_visited)
-    d = None if path is None else \
-        Derivation(start, tuple(Step(inst, st[0]) for inst, st in path))
+    d = None if path is None else Derivation(
+        start, tuple(Step(inst, _state_structure(st)) for inst, st in path))
     return SearchOutcome(d, exhausted, steps, visited)
+
+
+def _state_structure(state: tuple) -> Structure:
+    """The structure of a search state ``(parent, instance, ...)``: the
+    premise of the instance applied to the parent, or the parent itself
+    when there is no instance (the start)."""
+    parent, inst = state[0], state[1]
+    return parent if inst is None else apply_instance(parent, inst)
 
 
 def prove(goal: Structure, fragment: str = "down",

@@ -20,9 +20,9 @@ from dataclasses import replace
 from typing import Optional
 
 from .calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError, Step,
-    apply_instance, breadth_first, check_derivation, enumerate_instances,
-    is_right_context, seq_number,
+    AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError,
+    RuleInstance, Step, apply_instance, breadth_first, check_derivation,
+    enumerate_instances, is_right_context, premise_key, seq_number,
 )
 from .structures import Structure, canonical_key, is_tensor_free, uid_set
 
@@ -69,12 +69,21 @@ _AI_ONLY = frozenset({AI_DOWN})
 _WINDOW_DEPTH = 4
 _WINDOW_VISITED = 50_000
 
+# a window search state: the parent structure and the instance whose
+# premise is the state's structure (None at the bottom), the ids that
+# structure holds, its depth, and whether the instance was blocked
+_WindowState = tuple[Structure, Optional[RuleInstance], frozenset[int], int, bool]
+
 
 def _window_search(bottom: Structure, top: Structure,
                    relevant: frozenset[int]) -> Optional[list[Step]]:
     """Find a derivation of at most ``_WINDOW_DEPTH`` rules from ``bottom``
     up to ``top``, visiting at most ``_WINDOW_VISITED`` states (a
     structure, its depth, and whether the rule that made it was blocked).
+    A state keeps its parent and its instance (``_WindowState``) and is
+    keyed by ``premise_key`` and its ids, the parent's minus the ids the
+    instance consumes; its structure is built only when the state is
+    expanded or returned.
     Only the last rule may be a blocked interaction: a state it makes is
     not expanded.  ``relevant`` restricts the quantifier/Seq moves to
     those touching the atoms the conversion is about;
@@ -108,15 +117,18 @@ def _window_search(bottom: Structure, top: Structure,
     target_ids = uid_set(top)
     dead = uid_set(bottom) - target_ids
 
-    def key(state: tuple[Structure, int, bool]):
-        return canonical_key(state[0]), uid_set(state[0]), state[2]
+    def key(state: _WindowState):
+        parent, inst, ids, _, blocked = state
+        pk = canonical_key(parent) if inst is None else premise_key(parent, inst)
+        return pk, ids, blocked
 
     for bound in range(len(dead) // 2, _WINDOW_DEPTH + 1):
-        def successors(state: tuple[Structure, int, bool]):
-            cur, depth, dirty = state
+        def successors(state: _WindowState):
+            parent, inst, ids, depth, dirty = state
             if dirty or depth >= bound:
                 return
-            owed = len(uid_set(cur) & dead) // 2
+            cur = parent if inst is None else apply_instance(parent, inst)
+            owed = len(ids & dead) // 2
             rules = _WINDOW_RULES if depth + owed < bound else _AI_ONLY
             for inst in enumerate_instances(cur, rules):
                 if inst.rule == AI_DOWN:
@@ -127,14 +139,14 @@ def _window_search(bottom: Structure, top: Structure,
                     if touched and relevant.isdisjoint(touched):
                         continue
                 blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
-                yield inst, (apply_instance(cur, inst), depth + 1, blocked)
+                yield inst, (cur, inst, ids - inst.consumed_ids, depth + 1, blocked)
 
         path, capped, _, _ = breadth_first(
-            (bottom, 0, False), key, successors,
+            (bottom, None, uid_set(bottom), 0, False), key, successors,
             lambda k: k[0] == target and k[1] == target_ids,
             math.inf, _WINDOW_VISITED)
         if path is not None:
-            return [Step(inst, st[0]) for inst, st in path]
+            return [Step(inst, apply_instance(st[0], inst)) for inst, st in path]
         if capped:
             return None
     return None

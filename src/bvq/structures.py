@@ -433,6 +433,15 @@ _MAX_CHAIN_PERms = 6  # chains longer than this keep their given order
 _BIG = 1 << 60
 
 
+# Key tags of free atoms and of the bracket nodes, shared by ``_canon``
+# and ``_flat``.  With bound atoms ``Ab``, quantifiers ``Q`` and the unit
+# ``1`` they are chosen so that sorted Par/CoPar children come out atoms
+# first (positive before negative), then CoPar, Par, quantifier, Seq --
+# the order canonical forms are displayed in.
+_FREE = "Af"
+_BRACKET_TAGS = {Seq: ("S<", ">"), Par: ("P[", "]"), CoPar: ("C(", ")")}
+
+
 def _key_uid(triple: tuple[str, Structure, int]) -> tuple[str, int]:
     return triple[0], triple[2]
 
@@ -448,9 +457,6 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
     """
     t = type(s)
     if t is Atom:
-        # Key tags are chosen so that sorted Par/CoPar children come out
-        # atoms first (positive before negative), then CoPar, Par,
-        # quantifier, Seq -- the order canonical forms are displayed in.
         name = s.name
         uid = s.uid
         if uid is None:
@@ -462,7 +468,7 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
                 if scope[i][1] != base:
                     s = Atom(Name(scope[i][1], name.positive), s.uid)
                 return f"Ab{len(scope) - 1 - i}{sign}", s, uid
-        return "Af" + base + sign, s, uid
+        return _FREE + base + sign, s, uid
     if t is Seq or t is Par or t is CoPar:
         triples = []
         for p in s.parts:
@@ -470,16 +476,13 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
                 triples.append(_canon(p, scope, depth, cands))
             else:  # a free atom, handled inline like in _prepare
                 name = p.name
-                triples.append(("Af" + name.base + ("+" if name.positive else "-"),
+                triples.append((_FREE + name.base + ("+" if name.positive else "-"),
                                 p, _BIG if p.uid is None else p.uid))
-        if t is Seq:
-            keys, kids, uids = zip(*triples)
-            key = "S<" + ";".join(keys) + ">"
-        else:
+        if t is not Seq:
             triples.sort(key=_key_uid)
-            keys, kids, uids = zip(*triples)
-            key = ("P[" + ";".join(keys) + "]" if t is Par
-                   else "C(" + ";".join(keys) + ")")
+        keys, kids, uids = zip(*triples)
+        opening, closing = _BRACKET_TAGS[t]
+        key = opening + ";".join(keys) + closing
         if not all(map(is_, kids, s.parts)):  # else s is canonical
             s = t(kids)
         return key, s, min(uids)
@@ -510,6 +513,74 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
     if t is One:
         return "1", ONE, _BIG
     raise TypeError(f"unexpected node in canonicalization: {s!r}")
+
+
+# the flattened view of the unit
+_ONE_VIEW = (One, (), "1")
+
+
+def _flat(s: Structure):
+    """The flattened view ``(type, item keys, key)`` of the unit-free,
+    flattened form of ``s``, or False when ``s`` holds a quantifier;
+    cached on every subterm, as ``_cc`` is.  A bracket node's items are
+    its children after flattening (Par and CoPar items sorted); any
+    other node is its own single item.  The key is ``_canon``'s key of
+    that form: without binders no key depends on its context, so a node
+    reads its children's views, and an unchanged subterm costs one
+    attribute read."""
+    view = getattr(s, "_fv", None)
+    if view is not None:
+        return view
+    t = type(s)
+    if t is Atom:
+        name = s.name
+        key = _FREE + name.base + ("+" if name.positive else "-")
+        view = (Atom, (key,), key)
+    elif t is Seq or t is Par or t is CoPar:
+        items: list[str] = []
+        last = _ONE_VIEW  # the view of the last child with any item
+        for p in s.parts:
+            got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
+            if got is False:
+                break
+            tp = got[0]
+            if tp is t:
+                items.extend(got[1])
+            elif tp is not One:
+                items.append(got[2])
+            else:
+                continue
+            last = got
+        else:
+            if len(items) > 1:
+                if t is not Seq:
+                    items.sort()
+                opening, closing = _BRACKET_TAGS[t]
+                view = (t, tuple(items), opening + ";".join(items) + closing)
+            else:  # at most one child left an item, and it is not a t
+                view = last
+        if view is None:
+            view = False
+    elif t is One:
+        view = _ONE_VIEW
+    elif t is Sdq:
+        view = False
+    else:
+        raise TypeError(f"not a structure: {s!r}")
+    object.__setattr__(s, "_fv", view)
+    return view
+
+
+def flat_key(s: Structure) -> Optional[str]:
+    """``canonical_key(s)`` read from the cached flattened views of the
+    subterms of ``s`` (``_flat``), or None when ``s`` holds a quantifier.
+    Raises ``StructureError`` on input nested beyond the interpreter's
+    recursion limit."""
+    try:
+        view = _flat(s)
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
+    return view[2] if view else None
 
 
 def _canonical(s: Structure) -> tuple[str, Structure]:

@@ -10,7 +10,7 @@ from bvq.calculus import (
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
     check_derivation, check_derivation_detail, concat, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
-    replay, start_derivation,
+    premise_key, replay, start_derivation,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
@@ -277,15 +277,24 @@ def test_enumeration_equals_the_ordered_pair_reference(raw, numbered):
     ("[fo a.<a;b>;fo a.<~a;c>;d]", 9),         # 28
 ])
 def test_enumeration_applies_only_instances_it_keeps(monkeypatch, text, calls):
-    applied = []
+    # the filters read premise keys; only a premise with a quantifier is
+    # applied to key it
+    applied, keyed = [], []
 
-    def counting(s, inst):
+    def counting_apply(s, inst):
         applied.append(inst)
         return apply_instance(s, inst)
 
-    monkeypatch.setattr(calculus, "apply_instance", counting)
+    def counting_key(s, inst):
+        keyed.append(inst)
+        return premise_key(s, inst)
+
+    monkeypatch.setattr(calculus, "apply_instance", counting_apply)
+    monkeypatch.setattr(calculus, "premise_key", counting_key)
     kept = enumerate_instances(structure(text))
-    assert len(applied) == len(kept) == calls
+    assert {id(i) for i in applied} <= {id(i) for i in kept}
+    assert len(keyed) == len(kept) == calls
+    assert applied == [] or "fo" in text
 
 
 def test_json_roundtrip():

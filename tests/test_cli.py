@@ -125,6 +125,14 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 1 and json.loads(out)["exhausted"] is True
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_bad_budget_env_var_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("BVQ_BUDGET", value)
+    code, out, err = run(capsys, "prove", "[a;~a]")
+    assert code == 2 and out == ""
+    assert err == f"bvq: BVQ_BUDGET must be a positive integer, got {value!r}\n"
+
+
 def test_selftest_verb(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1", "--processes", "4",
                        "--proofs", "4", "--depth", "4")

@@ -1,7 +1,7 @@
 """Property tests for congruence, which processes share with structures
 through the bridge image, for the canonicalization kernel against a
-reference copy, for the reach search key, and for the scanner both
-grammars share."""
+reference copy, for the keys read from flattened views, for the reach
+search key, and for the scanner both grammars share."""
 
 import math
 import random
@@ -18,10 +18,11 @@ from bvq.ccsr import (
     is_simple_process, parse_actions, parse_process, print_process,
     process_congruent, process_key,
 )
+from bvq.calculus import _rewrite, apply_instance, enumerate_instances, premise_key
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
-    assign_ids, canonical_key, canonicalize, congruent, iter_atoms, negate,
-    parse_structure, print_structure, uid_set,
+    assign_ids, canonical_key, canonicalize, congruent, flat_key, iter_atoms,
+    negate, parse_structure, print_structure, uid_set,
 )
 from bvq.bridge import to_structure
 
@@ -341,6 +342,35 @@ def test_kernel_agrees_with_reference_copy(s, rng):
     assert [a.uid for a in iter_atoms(got)] == [a.uid for a in iter_atoms(out)]
 
 
+def _has_quantifier(s) -> bool:
+    if isinstance(s, Sdq):
+        return True
+    return isinstance(s, (Seq, Par, CoPar)) and any(map(_has_quantifier, s.parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures)
+def test_flat_key_is_the_canonical_key_without_quantifiers(s):
+    want = None if _has_quantifier(s) else canonical_key(s)
+    assert flat_key(s) == want
+    # again from the views cached on the subterms, now inside a parent
+    assert flat_key(Par((s, Atom(Name("a"))))) == (
+        None if want is None else canonical_key(Par((s, Atom(Name("a"))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures, st.sampled_from(["raw", "canonical", "numbered"]))
+def test_premise_key_is_the_key_of_the_applied_premise(s, form):
+    if form != "raw":
+        s = canonicalize(s)
+    if form == "numbered":
+        s, _ = assign_ids(s)
+    for inst in enumerate_instances(s):
+        want = canonical_key(canonicalize(_rewrite(s, inst)))
+        assert premise_key(s, inst) == want
+        assert canonical_key(apply_instance(s, inst)) == want
+
+
 # ---------------------------------------------------------------------------
 # the reach search key
 # ---------------------------------------------------------------------------
@@ -386,9 +416,10 @@ def _has_twins(s, env_ids):
 def _check_reach_keys(e, f, alpha) -> list:
     """Decide ``e -> f with alpha`` recording every state each search
     keys and the key it takes; check each state's carried live ids
-    against a walk of it, and that the keys split the states as the
-    always-marked key does.  Returns the recorded ``(state, environment
-    ids)`` pairs."""
+    against a walk of its structure, built as the search builds it
+    (``search._state_structure``), and that the keys split the states
+    as the always-marked key does.  Returns the ``(structure,
+    environment ids)`` pair of every recorded state."""
     calls = []  # (environment ids, [(state, key), ...]) per search
     real_bfs, real_search = search.breadth_first, search._search
 
@@ -411,13 +442,17 @@ def _check_reach_keys(e, f, alpha) -> list:
     finally:
         search.breadth_first, search._search = real_bfs, real_search
     assert calls and calls[0][1]
+    structures = []  # (structure, environment ids) per keyed state
     for env_ids, seen in calls:
-        for (s, live), _ in seen:
+        pairs = set()
+        for state, k in seen:
+            s, live = search._state_structure(state), state[-1]
             assert live == tuple(sorted(env_ids & uid_set(s)))
-        pairs = {(k, _marked_key(state[0], env_ids)) for state, k in seen}
+            pairs.add((k, _marked_key(s, env_ids)))
+            structures.append((s, env_ids))
         assert len({new for new, _ in pairs}) == len(pairs)
         assert len({old for _, old in pairs}) == len(pairs)
-    return [(state, env_ids) for env_ids, seen in calls for state, _ in seen]
+    return structures
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,4 +473,4 @@ def test_reach_key_splits_states_as_the_marked_key(e, data):
 def test_reach_key_on_a_judgment_with_twin_states():
     states = _check_reach_keys(parse_process("~e.e.~a.0"), parse_process("~a.0"),
                                parse_actions("~e;e;~a"))
-    assert any(_has_twins(s, env_ids) for (s, _), env_ids in states)
+    assert any(_has_twins(s, env_ids) for s, env_ids in states)

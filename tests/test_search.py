@@ -7,10 +7,11 @@ import time
 
 import pytest
 
+from bvq import calculus, search
 from bvq.bridge import actions_to_env, classify_structure, to_structure
 from bvq.calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Derivation, check_derivation, derivation_length,
-    start_derivation,
+    AI_DOWN, AI_DOWN_LEFT, Derivation, apply_instance, check_derivation,
+    derivation_length, start_derivation,
 )
 from bvq.ccsr import (
     check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
@@ -43,6 +44,23 @@ def test_prove_budget_exhaustion_reported():
     out = prove(parse_structure("[<a;b>;<~b;~a>]"),
                 budget=SearchBudget(max_steps=2, max_visited=2))
     assert not out.found and out.exhausted
+
+
+def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
+    # successors are keyed from their parent and instance; a state is
+    # built only to expand it (16,242 applications, for 1,485 states,
+    # when every successor was built)
+    applied = []
+
+    def counting(s, inst):
+        applied.append(inst)
+        return apply_instance(s, inst)
+
+    monkeypatch.setattr(calculus, "apply_instance", counting)
+    monkeypatch.setattr(search, "apply_instance", counting)
+    out = prove(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"))
+    assert not out.found and not out.exhausted
+    assert 0 < len(applied) <= out.visited
 
 
 def test_standard_fragment_proofs_are_standard():

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIFF = os.path.join(ROOT, "tools", "corpus_diff.py")
+BENCH_PAIRS = os.path.join(ROOT, "tools", "bench_pairs.py")
 
 
 def _corpus_diff(against: str, workload: str = "prove_closure"
@@ -65,3 +68,37 @@ def test_corpus_diff_runs_both_random_proof_groups_with_standardize(tmp_path):
     assert lines[-3:] == ["field afterSeqNumbers differs in 18 ops",
                           "field seqNumbersAfter differs in 18 ops",
                           "18 ops compared, 18 differ"]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _result_line(failed, **metrics):
+    return json.dumps({"correct": not failed, "attempted": 100, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "u"}
+                                   for k, v in metrics.items()}})
+
+
+def test_bench_pairs_summary_counts_wins_and_reads_each_direction():
+    tool = _bench_pairs()
+    # ten pairs: the change is faster in nine, its memory 40 % higher in all
+    lines = [(_result_line(0, **{"w/ops_per_s": 20 + i % 3, "w/peak_rss_mb": 30.0,
+                                 "w/trace.ops": 7}),
+              _result_line(1 if i == 0 else 0,
+                           **{"w/ops_per_s": 20 + i % 3 + (-1 if i == 4 else 5),
+                              "w/peak_rss_mb": 42.0, "w/trace.ops": 7}))
+             for i in range(10)]
+    pairs = [(json.loads(a), json.loads(b)) for a, b in lines]
+    out = tool.summarize(pairs, tool.metric_specs())
+    rows = {ln.split()[0]: ln.split() for ln in out[1:-1]}
+    # parent 20, 21, 22 cycled: its interquartile range 1.75 is below
+    # the gap between the medians, 4.5
+    assert rows["w/ops_per_s"][1:] == ["20/21/21.75", "25/25.5/26.75", "9/10",
+                                       "gain"]
+    assert rows["w/peak_rss_mb"][1:] == ["30/30/30", "42/42/42", "0/10", "worse"]
+    assert rows["w/trace.ops"][1:] == ["7/7/7", "7/7/7", "0/10"]
+    assert out[-1] == "failed ops: parent 0, change 1"
