@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .structures import (
     _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
-    assign_ids, canonical_key, canonicalize, flat_key, free_bases, iter_atoms,
+    assign_ids, canonical_key, canonicalize, free_bases, iter_atoms,
     mk_copar, mk_par, mk_seq, parse_structure, print_structure, negate,
     replace_at, json_field, strip_ids, subterm_at, uid_set,
 )
@@ -76,14 +76,8 @@ class RuleInstance:
 
     def sort_key(self):
         return (_RULE_ORDER.get(self.rule, 9), self.path,
-                tuple(_key(c) for c in self.consumed),
-                _key(self.replacement), self.consumed_uids())
-
-
-def _key(s: Structure) -> str:
-    """``canonical_key(s)``, read from the flattened views where ``s`` is
-    quantifier-free."""
-    return flat_key(s) or canonical_key(s)
+                tuple(map(canonical_key, self.consumed)),
+                canonical_key(self.replacement), self.consumed_uids())
 
 
 def _occurrence_ids(structures: tuple[Structure, ...]) -> tuple[int, ...]:
@@ -254,8 +248,9 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
     deterministically ordered.  Instances whose premise is congruent to
     the conclusion are dropped as no-ops, and of the instances with the
     same rule, path, premise and consumed ids only the first is kept.
-    Both filters read the premise's key from ``premise_key``, so no
-    instance is applied here: a caller builds only the premises it keeps.
+    Both filters read the premise's key from ``premise_key``, which
+    builds no premise, with or without a quantifier, so no instance is
+    applied here: a caller builds only the premises it keeps.
 
     ``_node_instances`` never generates two kinds of instance that these
     filters would drop anyway, so none is keyed:
@@ -330,14 +325,13 @@ def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
 
 def premise_key(s: Structure, inst: RuleInstance) -> str:
     """``canonical_key(apply_instance(s, inst))`` without building the
-    canonical premise: only the path down to the redex is rebuilt, and
-    the key is read from the flattened views (``structures.flat_key``),
-    where every sibling off the path keeps its cached view.  A premise
-    holding a quantifier is applied and canonicalized instead."""
+    canonical premise: only the path down to the redex is rebuilt
+    (``_rewrite``), and its key is read from the flattened views, where
+    every sibling off the path keeps its cached view."""
     cached = getattr(inst, "_premise_key", None)
     if cached is not None and cached[0] is s:
         return cached[1]
-    key = flat_key(_rewrite(s, inst)) or canonical_key(apply_instance(s, inst))
+    key = canonical_key(_rewrite(s, inst))
     object.__setattr__(inst, "_premise_key", (s, key))
     return key
 

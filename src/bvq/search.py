@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    Step, _remove_children, apply_instance, breadth_first, check_derivation,
-    derivation_to_dict, enumerate_instances, premise_key, replay,
-    same_occurrences, seq_number, start_derivation,
+    Step, _remove_children, _rewrite, apply_instance, breadth_first,
+    check_derivation, derivation_to_dict, enumerate_instances, premise_key,
+    replay, same_occurrences, seq_number, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
@@ -41,7 +41,7 @@ from .bridge import actions_to_env, classify_structure, env_to_actions
 from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
-    canonical_key, canonicalize, erase_atoms, flat_key, is_tensor_free,
+    canonical_key, canonicalize, erase_atoms, is_tensor_free,
     iter_atoms, map_atoms, mk_copar, mk_par, mk_seq, negate, replace_at,
     strip_ids, subterm_at, uid_set,
 )
@@ -106,11 +106,11 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     start is ``(start, None, live ids)``), and the live ids are the
     sorted ids of the environment atoms it still holds.  A state's
     structure is built (``_state_structure``) only when the search
-    expands the state or returns it on the path; most successors are
-    dropped as already visited, keyed without being built.  No rule
-    creates an occurrence, and only an interaction deletes any, so an
-    interaction successor's live ids are its parent's minus the consumed
-    pair and every other successor keeps its parent's.
+    expands the state or returns it on the path; every successor is
+    keyed without being built, and most are dropped as already visited.
+    No rule creates an occurrence, and only an interaction deletes any,
+    so an interaction successor's live ids are its parent's minus the
+    consumed pair and every other successor keeps its parent's.
 
     The key is the canonical key of the structure (``premise_key``) and
     the live ids.  States that differ
@@ -135,7 +135,9 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
 
     Whether states are keyed by their marked copy is therefore decided
     once, from the start: exactly when the start has twins.  Such a
-    judgment builds every state's structure to mark it.
+    judgment marks the parent rewritten at the instance
+    (``calculus._rewrite``), which is congruent to the premise and
+    carries the same ids, so it builds no premise to key it either.
     """
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
@@ -149,8 +151,8 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     def key(state) -> tuple[str, tuple[int, ...]]:
         parent, inst, live = state
         if marked and live:
-            m = _mark_env(_state_structure(state), frozenset(live))
-            return flat_key(m) or canonical_key(m), live
+            s = parent if inst is None else _rewrite(parent, inst)
+            return canonical_key(_mark_env(s, frozenset(live))), live
         if inst is None:
             return canonical_key(parent), live
         return premise_key(parent, inst), live

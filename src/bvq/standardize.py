@@ -81,9 +81,9 @@ def _window_search(bottom: Structure, top: Structure,
     up to ``top``, visiting at most ``_WINDOW_VISITED`` states (a
     structure, its depth, and whether the rule that made it was blocked).
     A state keeps its parent and its instance (``_WindowState``) and is
-    keyed by ``premise_key`` and its ids, the parent's minus the ids the
-    instance consumes; its structure is built only when the state is
-    expanded or returned.
+    keyed by ``premise_key``, which builds no premise, and its ids, the
+    parent's minus the ids the instance consumes; its structure is built
+    only when the state is expanded or returned.
     Only the last rule may be a blocked interaction: a state it makes is
     not expanded.  ``relevant`` restricts the quantifier/Seq moves to
     those touching the atoms the conversion is about;
@@ -98,8 +98,9 @@ def _window_search(bottom: Structure, top: Structure,
     any other rule would raise the sum past ``D``.
 
     The first window found is the one the search bounded by
-    ``_WINDOW_DEPTH`` alone (the unbounded search) finds.  Along a path ``depth + owed`` never
-    decreases (an interaction keeps it, any other rule raises it by one),
+    ``_WINDOW_DEPTH`` alone (the unbounded search) finds.  Along a path
+    ``depth + owed`` never decreases (an interaction keeps it, any other
+    rule raises it by one),
     and a goal owes nothing, so every state on a window of ``d <= D``
     rules is kept.  By induction on the unbounded search's queue, each
     state a run keeps is generated there too, at the same depth, from

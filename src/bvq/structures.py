@@ -97,39 +97,30 @@ def atom(base: str, positive: bool = True, uid: Optional[int] = None) -> Atom:
     return Atom(Name(base, positive), uid)
 
 
-def _flatten(cls, parts) -> Iterator[Structure]:
+def _build(cls, parts) -> Structure:
+    """A ``cls`` node of ``parts`` with same-type children flattened into
+    it (units stay); the unit when nothing is left, the part when one is."""
+    out: list[Structure] = []
     for p in parts:
-        if isinstance(p, cls):
-            yield from p.parts
+        if type(p) is cls:
+            out.extend(p.parts)
         else:
-            yield p
+            out.append(p)
+    if len(out) > 1:
+        return cls(tuple(out))
+    return out[0] if out else ONE
 
 
 def mk_seq(parts) -> Structure:
-    parts = tuple(_flatten(Seq, parts))
-    if not parts:
-        return ONE
-    if len(parts) == 1:
-        return parts[0]
-    return Seq(parts)
+    return _build(Seq, parts)
 
 
 def mk_par(parts) -> Structure:
-    parts = tuple(_flatten(Par, parts))
-    if not parts:
-        return ONE
-    if len(parts) == 1:
-        return parts[0]
-    return Par(parts)
+    return _build(Par, parts)
 
 
 def mk_copar(parts) -> Structure:
-    parts = tuple(_flatten(CoPar, parts))
-    if not parts:
-        return ONE
-    if len(parts) == 1:
-        return parts[0]
-    return CoPar(parts)
+    return _build(CoPar, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +511,15 @@ _ONE_VIEW = (One, (), "1")
 
 
 def _flat(s: Structure):
-    """The flattened view ``(type, item keys, key)`` of the unit-free,
-    flattened form of ``s``, or False when ``s`` holds a quantifier;
-    cached on every subterm, as ``_cc`` is.  A bracket node's items are
-    its children after flattening (Par and CoPar items sorted); any
-    other node is its own single item.  The key is ``_canon``'s key of
-    that form: without binders no key depends on its context, so a node
-    reads its children's views, and an unchanged subterm costs one
-    attribute read."""
+    """The flattened view ``(type, item keys, key)`` of ``s``, cached on
+    every subterm, as ``_cc`` is; the key is ``canonical_key(s)``.  A
+    bracket node's items are its children's after flattening (Par and
+    CoPar items sorted); any other node is its own single item.  The
+    walk never enters a binder, so no key it builds depends on its
+    context: a quantifier is keyed by ``_canonical``, and one whose
+    binders are all vacuous takes the view of its canonical form, so
+    its body still flattens into a parent.  A node reads its children's
+    views, and an unchanged subterm costs one attribute read."""
     view = getattr(s, "_fv", None)
     if view is not None:
         return view
@@ -541,8 +533,6 @@ def _flat(s: Structure):
         last = _ONE_VIEW  # the view of the last child with any item
         for p in s.parts:
             got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
-            if got is False:
-                break
             tp = got[0]
             if tp is t:
                 items.extend(got[1])
@@ -551,36 +541,22 @@ def _flat(s: Structure):
             else:
                 continue
             last = got
-        else:
-            if len(items) > 1:
-                if t is not Seq:
-                    items.sort()
-                opening, closing = _BRACKET_TAGS[t]
-                view = (t, tuple(items), opening + ";".join(items) + closing)
-            else:  # at most one child left an item, and it is not a t
-                view = last
-        if view is None:
-            view = False
+        if len(items) > 1:
+            if t is not Seq:
+                items.sort()
+            opening, closing = _BRACKET_TAGS[t]
+            view = (t, tuple(items), opening + ";".join(items) + closing)
+        else:  # at most one child left an item, and it is not a t
+            view = last
+    elif t is Sdq:
+        key, out = _canonical(s)
+        view = (Sdq, (key,), key) if type(out) is Sdq else _flat(out)
     elif t is One:
         view = _ONE_VIEW
-    elif t is Sdq:
-        view = False
     else:
         raise TypeError(f"not a structure: {s!r}")
     object.__setattr__(s, "_fv", view)
     return view
-
-
-def flat_key(s: Structure) -> Optional[str]:
-    """``canonical_key(s)`` read from the cached flattened views of the
-    subterms of ``s`` (``_flat``), or None when ``s`` holds a quantifier.
-    Raises ``StructureError`` on input nested beyond the interpreter's
-    recursion limit."""
-    try:
-        view = _flat(s)
-    except RecursionError:
-        raise StructureError(_TOO_DEEP) from None
-    return view[2] if view else None
 
 
 def _canonical(s: Structure) -> tuple[str, Structure]:
@@ -619,8 +595,20 @@ def canonicalize(s: Structure) -> Structure:
 
 def canonical_key(s: Structure) -> str:
     """Serialization of the canonical form; equal keys mean congruent
-    structures.  Ignores occurrence ids."""
-    return _canonical(s)[0]
+    structures.  Ignores occurrence ids.  Read from the cached views of
+    ``_flat``, so a rewritten structure costs a walk of its rebuilt path
+    alone.  Raises ``StructureError`` on input nested beyond the
+    interpreter's recursion limit."""
+    view = getattr(s, "_fv", None)
+    if view is not None:
+        return view[2]
+    hit = getattr(s, "_cc", None)
+    if hit is not None:
+        return hit[0]
+    try:
+        return _flat(s)[2]
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 def congruent(r: Structure, t: Structure) -> bool:

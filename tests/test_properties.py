@@ -1,6 +1,6 @@
 """Property tests for congruence, which processes share with structures
 through the bridge image, for the canonicalization kernel against a
-reference copy, for the keys read from flattened views, for the reach
+reference copy, for the key read from flattened views, for the reach
 search key, and for the scanner both grammars share."""
 
 import math
@@ -10,7 +10,7 @@ from itertools import permutations
 from typing import Optional
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bvq import search
 from bvq.ccsr import (
@@ -21,7 +21,7 @@ from bvq.ccsr import (
 from bvq.calculus import _rewrite, apply_instance, enumerate_instances, premise_key
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
-    assign_ids, canonical_key, canonicalize, congruent, flat_key, iter_atoms,
+    assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
     negate, parse_structure, print_structure, uid_set,
 )
 from bvq.bridge import to_structure
@@ -342,20 +342,16 @@ def test_kernel_agrees_with_reference_copy(s, rng):
     assert [a.uid for a in iter_atoms(got)] == [a.uid for a in iter_atoms(out)]
 
 
-def _has_quantifier(s) -> bool:
-    if isinstance(s, Sdq):
-        return True
-    return isinstance(s, (Seq, Par, CoPar)) and any(map(_has_quantifier, s.parts))
-
-
 @settings(max_examples=300, deadline=None)
 @given(structures)
-def test_flat_key_is_the_canonical_key_without_quantifiers(s):
-    want = None if _has_quantifier(s) else canonical_key(s)
-    assert flat_key(s) == want
+# a vacuous quantifier's body flattens into the parent: keyed as [a;c;d]
+@example(parse_structure("[a; fo b.[c;d]]"))
+def test_canonical_key_agrees_with_the_reference_key(s):
+    # the key is read from flattened views, a quantifier keyed whole
+    assert canonical_key(s) == _ref_canonical(s)[0]
     # again from the views cached on the subterms, now inside a parent
-    assert flat_key(Par((s, Atom(Name("a"))))) == (
-        None if want is None else canonical_key(Par((s, Atom(Name("a"))))))
+    parent = Par((s, Atom(Name("a"))))
+    assert canonical_key(parent) == _ref_canonical(parent)[0]
 
 
 @settings(max_examples=150, deadline=None)

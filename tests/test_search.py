@@ -63,6 +63,49 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
     assert 0 < len(applied) <= out.visited
 
 
+def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
+        monkeypatch):
+    # the start has twins, so each successor is keyed by a marked copy
+    # of its parent rewritten at the instance; no state is built only to
+    # key it (639 applications when every state was built and marked)
+    applied = []
+
+    def counting(s, inst):
+        applied.append(inst)
+        return apply_instance(s, inst)
+
+    monkeypatch.setattr(calculus, "apply_instance", counting)
+    monkeypatch.setattr(search, "apply_instance", counting)
+    v = reach(parse_process("~e.e.~a.0"), parse_process("~a.0"),
+              parse_actions("~e;e;~a"))
+    assert not v.proved
+    assert (v.stats.steps, v.stats.visited) == (499, 142)
+    assert 0 < len(applied) <= v.stats.visited
+
+
+_CHAIN_ORDER = ("ROADMAP open item 3: u_down merges two binder chains "
+                "only in their canonical order")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CHAIN_ORDER)
+def test_prove_pairs_the_binders_of_two_chains_in_any_order():
+    # [x; negate(x)] for x = fo a.fo b.[b;~a].  From the congruent
+    # [fo a.fo b.(a;~b); fo a.fo b.[b;~a]], two u_down steps give
+    # fo a.fo b.[(a;~b);b;~a], then switch and two ai_down close it
+    goal = parse_structure("[fo a.fo b.(b;~a);fo a.fo b.[b;~a]]")
+    x = parse_structure("fo a.fo b.[b;~a]")
+    assert congruent(goal, mk_par([x, negate(x)]))
+    assert prove(goal).found
+
+
+@pytest.mark.xfail(strict=True, raises=SearchError, reason=_CHAIN_ORDER)
+def test_reach_is_reflexive_on_a_two_binder_restriction():
+    # the interaction proof of the target is the goal above
+    p = parse_process("nu b.nu e.(~e.0|b.0)")
+    assert lts_reachable(p, p, parse_actions("tau"), 0) is not None
+    assert reach(p, p, parse_actions("tau")).proved
+
+
 def test_standard_fragment_proofs_are_standard():
     for goal in ["[<a;b>;<~a;~b>]", "[a;~a;b;~b]", "[fo a.<a;b>; fo a.~a; ~b]"]:
         out = prove(parse_structure(goal), "standard")
