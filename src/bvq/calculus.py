@@ -242,8 +242,8 @@ def _node_instances(node: Par, path: Context, fragment: frozenset[str]) -> Itera
                     yield RuleInstance(SWITCH, path, (cp, *u), repl, frozenset())
 
 
-def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
-                        ) -> list[RuleInstance]:
+def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT,
+                        rewrites: Optional[dict] = None) -> list[RuleInstance]:
     """All down-rule instances whose conclusion matches ``s`` (canonical),
     deterministically ordered.  Instances whose premise is congruent to
     the conclusion are dropped as no-ops, and of the instances with the
@@ -263,6 +263,8 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
       unit: its premise ``[R;T]`` is the conclusion, a no-op.
 
     Duplicates from congruent siblings remain, and the filters drop them.
+    ``rewrites``, when given, collects the structures ``premise_key``
+    rewrites here (see there).
     """
     fragment = frozenset(fragment)
     if not fragment <= DOWN_FRAGMENT:
@@ -277,7 +279,7 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
                 # coincide, so skip the no-op/duplicate filtering
                 out.append(inst)
                 continue
-            pk = premise_key(s, inst)
+            pk = premise_key(s, inst, rewrites)
             if pk == root_key:
                 continue
             dedup = (inst.rule, inst.path, pk, inst.consumed_uids())
@@ -323,16 +325,23 @@ def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
     return out
 
 
-def premise_key(s: Structure, inst: RuleInstance) -> str:
+def premise_key(s: Structure, inst: RuleInstance,
+                rewrites: Optional[dict] = None) -> str:
     """``canonical_key(apply_instance(s, inst))`` without building the
     canonical premise: only the path down to the redex is rebuilt
     (``_rewrite``), and its key is read from the flattened views, where
-    every sibling off the path keeps its cached view."""
+    every sibling off the path keeps its cached view.  When it rewrites
+    ``s`` and ``rewrites`` is given, it stores ``(inst, rewritten)``
+    there under ``id(inst)``, for a caller that keys the same rewrite
+    another way; the instance itself keeps only the key."""
     cached = getattr(inst, "_premise_key", None)
     if cached is not None and cached[0] is s:
         return cached[1]
-    key = canonical_key(_rewrite(s, inst))
+    out = _rewrite(s, inst)
+    key = canonical_key(out)
     object.__setattr__(inst, "_premise_key", (s, key))
+    if rewrites is not None:
+        rewrites[id(inst)] = (inst, out)
     return key
 
 
@@ -395,18 +404,19 @@ def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]
 
 def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
                   max_steps: float, max_visited: float
-                  ) -> tuple[Optional[list[tuple]], bool, int, int]:
+                  ) -> tuple[Optional[list[tuple]], str, int, int]:
     """Breadth-first search from ``start``; ``successors(state)`` yields
     ``(edge, state)`` pairs and a state whose ``key`` was seen is dropped.
     The goal is tested on each new key when it is generated.  Every
     successor counts one step, checked before it is keyed; the count of
     distinct states is checked after each new state that is not a goal.
-    Returns ``(path, exhausted, steps, visited)``: ``path`` lists the
-    ``(edge, state)`` pairs up to the goal or is None, and ``exhausted``
-    tells a budget stop from a closed state space."""
+    Returns ``(path, stopped_by, steps, visited)``: ``path`` lists the
+    ``(edge, state)`` pairs up to the goal or is None, and ``stopped_by``
+    says why the search stopped: ``"goal"``, the ``"steps"`` or the
+    ``"visited"`` budget, or a ``"closed"`` state space."""
     k0 = key(start)
     if is_goal(k0):
-        return [], False, 0, 1
+        return [], "goal", 0, 1
     parents: dict = {k0: (None, None, start)}  # key -> (parent key, edge, state)
     queue = deque([k0])
     steps = 0
@@ -415,7 +425,7 @@ def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
         for edge, nxt in successors(parents[k][2]):
             steps += 1
             if steps > max_steps:
-                return None, True, steps, len(parents)
+                return None, "steps", steps, len(parents)
             nk = key(nxt)
             if nk in parents:
                 continue
@@ -425,11 +435,11 @@ def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
                 while parents[nk][0] is not None:
                     nk, edge, nxt = parents[nk]
                     path.append((edge, nxt))
-                return path[::-1], False, steps, len(parents)
+                return path[::-1], "goal", steps, len(parents)
             if len(parents) > max_visited:
-                return None, True, steps, len(parents)
+                return None, "visited", steps, len(parents)
             queue.append(nk)
-    return None, False, steps, len(parents)
+    return None, "closed", steps, len(parents)
 
 
 # ---------------------------------------------------------------------------

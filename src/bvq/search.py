@@ -42,8 +42,8 @@ from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
     canonical_key, canonicalize, erase_atoms, is_tensor_free,
-    iter_atoms, map_atoms, mk_copar, mk_par, mk_seq, negate, replace_at,
-    strip_ids, subterm_at, uid_set,
+    iter_atoms, map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate,
+    replace_at, strip_ids, subterm_at, uid_set,
 )
 
 
@@ -71,7 +71,7 @@ DEFAULT_BUDGET = SearchBudget()
 @dataclass(slots=True)
 class SearchOutcome:
     derivation: Optional[Derivation]
-    exhausted: bool
+    stopped_by: str  # "goal", "steps", "visited" or "closed"
     steps: int
     visited: int
 
@@ -79,19 +79,13 @@ class SearchOutcome:
     def found(self) -> bool:
         return self.derivation is not None
 
+    @property
+    def exhausted(self) -> bool:
+        """Stopped by a budget, not by a goal or a closed state space."""
+        return self.stopped_by in ("steps", "visited")
+
 
 _SEARCH_RULES = frozenset({AI_DOWN, Q_DOWN, U_DOWN, SWITCH})
-
-
-_ENV_MARK = "\x00env"
-
-
-def _mark_env(s: Structure, live: frozenset[int]) -> Structure:
-    """Tag the names of live environment atoms so the canonical key
-    distinguishes states that only differ in which twin occurrence the
-    environment still owns (those futures genuinely differ)."""
-    return map_atoms(s, lambda a: a if a.uid not in live else
-                     Atom(Name(a.name.base + _ENV_MARK, a.name.positive), a.uid))
 
 
 def _search(start: Structure, fragment: str, budget: SearchBudget,
@@ -117,8 +111,9 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     only in which of two twin occurrences the environment still owns
     have different futures; a twin is an atom outside the live set with
     the name (base and polarity) of a live one.  So the key must split
-    states as the key of a copy with live atoms marked (``_mark_env``)
-    does.  When the start has no twins, the plain key already does:
+    states as the canonical key with every live atom keyed under a
+    marked name (``structures.marked_key``) does.  When the start has no
+    twins, the plain key already does:
 
     * no state has twins either.  Free atoms keep their names, and bound
       atoms stay bound under canonical names that avoid every free base;
@@ -133,11 +128,18 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
       renaming and reordering never compare two different free names;
       up to the chain cap of ``structures._MAX_CHAIN_PERms``).
 
-    Whether states are keyed by their marked copy is therefore decided
-    once, from the start: exactly when the start has twins.  Such a
-    judgment marks the parent rewritten at the instance
-    (``calculus._rewrite``), which is congruent to the premise and
-    carries the same ids, so it builds no premise to key it either.
+    Whether states are keyed with marks is therefore decided once, from
+    the start: exactly when the start has twins.  Such a judgment keys
+    the parent rewritten at the instance (``calculus._rewrite``), which
+    is congruent to the premise and carries the same ids, so it builds
+    no premise to key it either.  It marks the atoms of the judgment's
+    ``env_ids``, not of the state's live ids, and the two are the same
+    atoms: no rule creates an occurrence, and an environment atom leaves
+    the live set only when an interaction deletes it, so the environment
+    atoms a state holds are exactly its live ones.  Marking every state
+    by the one ``env_ids`` object lets it reuse the marked views cached
+    on the subterms it shares with its parent, so keying a successor
+    walks its rebuilt path alone.
     """
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
@@ -148,11 +150,20 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     marked = any(a.name in live_names for a in iter_atoms(start)
                  if a.uid not in env_ids)
 
+    # the parent rewritten at each instance ``enumerate_instances`` keyed
+    # in the last expansion, by ``id`` of the instance (an entry holds its
+    # instance, so no other object takes that id), so that a marked key
+    # rewrites no parent again; no instance keeps its rewrite
+    rewrites: Optional[dict] = {} if marked else None
+
     def key(state) -> tuple[str, tuple[int, ...]]:
         parent, inst, live = state
         if marked and live:
-            s = parent if inst is None else _rewrite(parent, inst)
-            return canonical_key(_mark_env(s, frozenset(live))), live
+            if inst is None:
+                return marked_key(parent, env_ids), live
+            hit = rewrites.pop(id(inst), None)
+            s = hit[1] if hit is not None else _rewrite(parent, inst)
+            return marked_key(s, env_ids), live
         if inst is None:
             return canonical_key(parent), live
         return premise_key(parent, inst), live
@@ -160,7 +171,9 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     def successors(state):
         s = _state_structure(state)
         live = state[2]
-        for inst in enumerate_instances(s, _SEARCH_RULES):
+        if rewrites:
+            rewrites.clear()
+        for inst in enumerate_instances(s, _SEARCH_RULES, rewrites):
             if inst.rule != AI_DOWN:
                 yield inst, (s, inst, live)
                 continue
@@ -171,13 +184,13 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
             yield inst, (s, inst,
                          tuple(u for u in live if u not in inst.consumed_ids))
 
-    path, exhausted, steps, visited = breadth_first(
+    path, stopped_by, steps, visited = breadth_first(
         (start, None, tuple(sorted(env_ids & uid_set(start)))), key,
         successors, lambda k: k[0] == want and not k[1],
         budget.max_steps, budget.max_visited)
     d = None if path is None else Derivation(
         start, tuple(Step(inst, _state_structure(st)) for inst, st in path))
-    return SearchOutcome(d, exhausted, steps, visited)
+    return SearchOutcome(d, stopped_by, steps, visited)
 
 
 def _state_structure(state: tuple) -> Structure:

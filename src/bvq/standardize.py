@@ -142,13 +142,13 @@ def _window_search(bottom: Structure, top: Structure,
                 blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
                 yield inst, (cur, inst, ids - inst.consumed_ids, depth + 1, blocked)
 
-        path, capped, _, _ = breadth_first(
+        path, stopped_by, _, _ = breadth_first(
             (bottom, None, uid_set(bottom), 0, False), key, successors,
             lambda k: k[0] == target and k[1] == target_ids,
             math.inf, _WINDOW_VISITED)
         if path is not None:
             return [Step(inst, apply_instance(st[0], inst)) for inst, st in path]
-        if capped:
+        if stopped_by == "visited":
             return None
     return None
 

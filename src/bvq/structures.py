@@ -510,6 +510,35 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
 _ONE_VIEW = (One, (), "1")
 
 
+def _join(t: type, parts: tuple[Structure, ...],
+          ids: Optional[frozenset[int]]) -> tuple:
+    """The flattened view of a ``t`` bracket node of ``parts`` from the
+    children's views, plain (``_flat``) when ``ids`` is None and marked
+    (``_marked``) otherwise: a child of type ``t`` spreads its items into
+    the node, a unit child leaves none."""
+    items: list[str] = []
+    last = _ONE_VIEW  # the view of the last child with any item
+    for p in parts:
+        if ids is None:
+            got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
+        else:
+            got = _marked(p, ids)
+        tp = got[0]
+        if tp is t:
+            items.extend(got[1])
+        elif tp is not One:
+            items.append(got[2])
+        else:
+            continue
+        last = got
+    if len(items) > 1:
+        if t is not Seq:
+            items.sort()
+        opening, closing = _BRACKET_TAGS[t]
+        return t, tuple(items), opening + ";".join(items) + closing
+    return last  # at most one child left an item, and it is not a t
+
+
 def _flat(s: Structure):
     """The flattened view ``(type, item keys, key)`` of ``s``, cached on
     every subterm, as ``_cc`` is; the key is ``canonical_key(s)``.  A
@@ -529,25 +558,7 @@ def _flat(s: Structure):
         key = _FREE + name.base + ("+" if name.positive else "-")
         view = (Atom, (key,), key)
     elif t is Seq or t is Par or t is CoPar:
-        items: list[str] = []
-        last = _ONE_VIEW  # the view of the last child with any item
-        for p in s.parts:
-            got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
-            tp = got[0]
-            if tp is t:
-                items.extend(got[1])
-            elif tp is not One:
-                items.append(got[2])
-            else:
-                continue
-            last = got
-        if len(items) > 1:
-            if t is not Seq:
-                items.sort()
-            opening, closing = _BRACKET_TAGS[t]
-            view = (t, tuple(items), opening + ";".join(items) + closing)
-        else:  # at most one child left an item, and it is not a t
-            view = last
+        view = _join(t, s.parts, None)
     elif t is Sdq:
         key, out = _canonical(s)
         view = (Sdq, (key,), key) if type(out) is Sdq else _flat(out)
@@ -613,6 +624,69 @@ def canonical_key(s: Structure) -> str:
 
 def congruent(r: Structure, t: Structure) -> bool:
     return canonical_key(r) == canonical_key(t)
+
+
+# appended to the base of a marked atom; no parsed name has this character
+_MARK = "\x00env"
+
+
+def _marked_copy(s: Structure, ids: frozenset[int]) -> Structure:
+    """``s`` with every atom whose uid is in ``ids`` renamed to its marked
+    name."""
+    return map_atoms(s, lambda a: a if a.uid not in ids else
+                     Atom(Name(a.name.base + _MARK, a.name.positive), a.uid))
+
+
+def _marked(s: Structure, ids: frozenset[int]):
+    """``_flat(_marked_copy(s, ids))`` without building the copy, cached
+    on every subterm as ``_mv = (ids, view)`` beside ``_fv``.  A bracket
+    node joins its children's marked views with ``_join``, as ``_flat``
+    joins their views; without a marked atom below it, that is its plain
+    view, which it then shares with ``_fv``.  An unmarked atom takes its own view.  A
+    quantifier is keyed whole, so one that holds a marked atom is keyed
+    by ``_flat`` of a marked copy of itself alone, and any other by
+    ``_flat``."""
+    t = type(s)
+    if t is Atom and s.uid not in ids:
+        return getattr(s, "_fv", None) or _flat(s)
+    if t is One:
+        return _ONE_VIEW
+    hit = getattr(s, "_mv", None)
+    if hit is not None and hit[0] is ids:
+        return hit[1]
+    if t is Atom:
+        name = s.name
+        key = _FREE + name.base + _MARK + ("+" if name.positive else "-")
+        view = (Atom, (key,), key)
+    elif t is Seq or t is Par or t is CoPar:
+        view = _join(t, s.parts, ids)
+        if _MARK not in view[2]:  # no marked atom: the plain view, shared
+            plain = getattr(s, "_fv", None)
+            if plain is None:
+                object.__setattr__(s, "_fv", view)
+            else:
+                view = plain
+    elif t is Sdq:
+        held = any(a.uid in ids for a in iter_atoms(s))
+        view = _flat(_marked_copy(s, ids)) if held else _flat(s)
+    else:
+        raise TypeError(f"not a structure: {s!r}")
+    object.__setattr__(s, "_mv", (ids, view))
+    return view
+
+
+def marked_key(s: Structure, ids: frozenset[int]) -> str:
+    """The canonical key of ``s`` with every atom whose uid is in ``ids``
+    keyed under a marked name, so that it differs from every atom of the
+    same name outside ``ids``.  A view cached for one ``ids`` object is
+    reused only for that same object: a caller that keys many rewrites of
+    one structure with one ``ids`` pays a walk of each rebuilt path alone.
+    Raises ``StructureError`` on input nested beyond the interpreter's
+    recursion limit."""
+    try:
+        return _marked(s, ids)[2]
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
 
 
 # ---------------------------------------------------------------------------

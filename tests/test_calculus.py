@@ -285,9 +285,9 @@ def test_enumeration_applies_only_instances_it_keeps(monkeypatch, text, calls):
         applied.append(inst)
         return apply_instance(s, inst)
 
-    def counting_key(s, inst):
+    def counting_key(s, inst, *rewrites):
         keyed.append(inst)
-        return premise_key(s, inst)
+        return premise_key(s, inst, *rewrites)
 
     monkeypatch.setattr(calculus, "apply_instance", counting_apply)
     monkeypatch.setattr(calculus, "premise_key", counting_key)
@@ -357,10 +357,10 @@ def test_breadth_first_goal_test_and_budgets():
         return breadth_first(1, lambda n: n, succ, lambda k: k == goal,
                              max_steps, max_visited)
 
-    assert run(1) == ([], False, 0, 1)
-    assert run(6) == ([("2n+1", 3), ("2n", 6)], False, 5, 6)
-    assert run(9) == (None, False, 6, 7)          # closed state space
-    assert run(6, max_steps=4) == (None, True, 5, 5)
-    assert run(6, max_visited=4) == (None, True, 4, 5)
+    assert run(1) == ([], "goal", 0, 1)
+    assert run(6) == ([("2n+1", 3), ("2n", 6)], "goal", 5, 6)
+    assert run(9) == (None, "closed", 6, 7)
+    assert run(6, max_steps=4) == (None, "steps", 5, 5)
+    assert run(6, max_visited=4) == (None, "visited", 4, 5)
     # a goal is returned when generated, before the visited bound is checked
-    assert run(5, max_visited=4) == ([("2n", 2), ("2n+1", 5)], False, 4, 5)
+    assert run(5, max_visited=4) == ([("2n", 2), ("2n+1", 5)], "goal", 4, 5)

@@ -1,7 +1,8 @@
 """Property tests for congruence, which processes share with structures
 through the bridge image, for the canonicalization kernel against a
-reference copy, for the key read from flattened views, for the reach
-search key, and for the scanner both grammars share."""
+reference copy, for the key read from flattened views, for the marked
+key and the reach search key, and for the scanner both grammars
+share."""
 
 import math
 import random
@@ -22,7 +23,7 @@ from bvq.calculus import _rewrite, apply_instance, enumerate_instances, premise_
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
     assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
-    negate, parse_structure, print_structure, uid_set,
+    map_atoms, marked_key, negate, parse_structure, print_structure, uid_set,
 )
 from bvq.bridge import to_structure
 
@@ -371,12 +372,39 @@ def test_premise_key_is_the_key_of_the_applied_premise(s, form):
 # the reach search key
 # ---------------------------------------------------------------------------
 
+def _reference_mark(s, ids):
+    """``s`` with the names of the atoms whose uid is in ``ids`` tagged by a
+    character no parsed name has: the marked copy the reach key was once
+    read from."""
+    return map_atoms(s, lambda a: a if a.uid not in ids else
+                     Atom(Name(a.name.base + "\x00env", a.name.positive), a.uid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures, st.frozensets(st.integers(min_value=0, max_value=8)))
+# the b under the quantifier is marked, so the quantifier is keyed by a
+# marked copy of itself
+@example(parse_structure("[b; fo a.<a;b>]"), frozenset({2}))
+def test_marked_key_is_the_key_of_the_marked_copy(s, ids):
+    s, n = assign_ids(s)
+    got = marked_key(s, ids)
+    assert got == canonical_key(_reference_mark(s, ids))
+    assert (got != canonical_key(s)) == bool(ids & uid_set(s))
+    # again from the marked views cached on the subterms, inside a parent
+    parent = Par((s, Atom(Name("b"), n)))
+    assert marked_key(parent, ids) == canonical_key(_reference_mark(parent, ids))
+    # the same objects under other ids are not served the cached views
+    other = uid_set(parent) - ids
+    assert marked_key(s, other) == canonical_key(_reference_mark(s, other))
+    assert marked_key(parent, other) == canonical_key(_reference_mark(parent, other))
+
+
 def _marked_key(s, env_ids):
     """The search key that marks live environment atoms in every state."""
     live = env_ids & uid_set(s)
     if not live:
         return canonical_key(s), ()
-    return canonical_key(search._mark_env(s, live)), tuple(sorted(live))
+    return canonical_key(_reference_mark(s, live)), tuple(sorted(live))
 
 
 twin_names = st.builds(Name, st.sampled_from(["a", "b"]), st.booleans())

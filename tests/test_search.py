@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bvq import calculus, search
+from bvq import calculus, search, structures
 from bvq.bridge import actions_to_env, classify_structure, to_structure
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, apply_instance, check_derivation,
@@ -65,22 +65,43 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
 
 def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
         monkeypatch):
-    # the start has twins, so each successor is keyed by a marked copy
-    # of its parent rewritten at the instance; no state is built only to
-    # key it (639 applications when every state was built and marked)
-    applied = []
+    # the start has twins, so each successor is keyed by the marked key
+    # of its parent rewritten at the instance, read from the marked views
+    # cached on the subterms it shares with its parent.  No state is
+    # built only to key it (639 applications when every state was built
+    # and marked), and no marked copy is made (499 when every successor
+    # was keyed by one)
+    applied, mapped, searching = [], [], []
 
     def counting(s, inst):
         applied.append(inst)
         return apply_instance(s, inst)
 
+    real_map, real_search = structures.map_atoms, search._search
+
+    def counting_map(s, f):
+        if searching:
+            mapped.append(s)
+        return real_map(s, f)
+
+    def tracked_search(*args):
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(calculus, "apply_instance", counting)
     monkeypatch.setattr(search, "apply_instance", counting)
+    monkeypatch.setattr(structures, "map_atoms", counting_map)
+    monkeypatch.setattr(search, "map_atoms", counting_map)
+    monkeypatch.setattr(search, "_search", tracked_search)
     v = reach(parse_process("~e.e.~a.0"), parse_process("~a.0"),
               parse_actions("~e;e;~a"))
     assert not v.proved
     assert (v.stats.steps, v.stats.visited) == (499, 142)
     assert 0 < len(applied) <= v.stats.visited
+    assert not mapped
 
 
 _CHAIN_ORDER = ("ROADMAP open item 3: u_down merges two binder chains "
@@ -468,8 +489,8 @@ def test_reach_with_structured_target():
 def test_reach_with_twin_occurrences_of_the_observed_label():
     # the process keeps its own copy of the observed label; only the
     # environment occurrence may be consumed.  Such judgments key their
-    # states by a marked copy; the search counts are those of marking
-    # every state.
+    # states with the live atoms marked (``marked_key``); the search
+    # counts are those of marking every state.
     cases = [
         ("x.~b.0|b.0", "b.0", "x;~b", 536, 204),
         ("a.0|~a.~d.0", "a.0|~d.0", "~a", 53, 40),

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from bvq import search
 from bvq.calculus import _par_nodes
 from bvq.structures import (
     Atom, Name, ONE, Par, Sdq, Seq, StructureError, assign_ids, atom,
     canonical_key, canonicalize, congruent, erase_atoms, is_tensor_free,
-    iter_atom_paths, iter_atoms, map_atoms, names, negate, parse_structure,
-    print_structure, replace_at, size, strip_ids, uid_set,
+    iter_atom_paths, iter_atoms, map_atoms, marked_key, names, negate,
+    parse_structure, print_structure, replace_at, size, strip_ids, uid_set,
 )
 
 
@@ -54,11 +53,11 @@ def test_canonicalize_rejects_deep_nesting_with_its_own_error():
     strip_ids, lambda s: erase_atoms(s, frozenset({0})), uid_set, size,
     is_tensor_free, lambda s: list(iter_atom_paths(s)), names,
     lambda s: map_atoms(s, lambda a: a), lambda s: list(_par_nodes(s)),
-    lambda s: search._mark_env(s, frozenset({0})),
+    lambda s: marked_key(s, frozenset({0})),
     lambda s: canonical_key(Sdq(Name("x"), s)),
 ], ids=["print_structure", "negate", "iter_atoms", "assign_ids",
         "strip_ids", "erase_atoms", "uid_set", "size", "is_tensor_free",
-        "iter_atom_paths", "names", "map_atoms", "_par_nodes", "_mark_env",
+        "iter_atom_paths", "names", "map_atoms", "_par_nodes", "marked_key",
         "canonical_key_under_fo"])
 def test_recursive_walks_reject_deep_nesting_with_their_own_error(walk):
     deep = atom("b", uid=0)
