@@ -264,7 +264,10 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT,
 
     Duplicates from congruent siblings remain, and the filters drop them.
     ``rewrites``, when given, collects the structures ``premise_key``
-    rewrites here (see there).
+    rewrites here (see there).  The filters read the plain key even
+    then: in a twin judgment, which ``search._search`` keys by the
+    marked key, they drop some successors that the marked key tells
+    apart (a no-op or a duplicate only up to which twin is marked).
     """
     fragment = frozenset(fragment)
     if not fragment <= DOWN_FRAGMENT:

@@ -163,30 +163,14 @@ def actions_normalize(alpha: ActionSeq) -> ActionSeq:
     return out if out else SILENT
 
 
-def actions_congruent(a: ActionSeq, b: ActionSeq) -> bool:
-    return actions_normalize(a) == actions_normalize(b)
-
-
 def hide_actions(alpha: ActionSeq, base: str) -> ActionSeq:
     return actions_normalize(tuple(
         TAU if (x is not TAU and x.base == base) else x for x in alpha))
 
 
 # ---------------------------------------------------------------------------
-# size, names, congruence
+# names, congruence
 # ---------------------------------------------------------------------------
-
-def process_size(p: Process) -> int:
-    if isinstance(p, PZero):
-        return 1
-    if isinstance(p, PPrefix):
-        return 1 + process_size(p.body)
-    if isinstance(p, PPar):
-        return 1 + process_size(p.left) + process_size(p.right)
-    if isinstance(p, PNu):
-        return 1 + process_size(p.body)
-    raise TypeError(f"not a process: {p!r}")
-
 
 def free_names(p: Process) -> frozenset[Name]:
     if isinstance(p, PZero):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .calculus import (
@@ -779,24 +778,22 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]
     raise SearchError("cannot build an interaction proof for this shape")
 
 
-@lru_cache(maxsize=256)  # reused across judgments, bounded per process
-def _interaction_proof(x: Structure, budget: SearchBudget) -> Derivation:
-    """A proof of ``[x; negate(x)]`` for a canonical ``x`` without ids,
-    built by the interaction recursion and replayed into a checked
-    derivation."""
+def _interaction_proof(x: Structure) -> Derivation:
+    """A proof of ``[x; negate(x)]`` for a canonical ``x`` without ids:
+    the interaction recursion's recipe, replayed into a checked
+    derivation.  Raises ``SearchError`` when a step of the recipe does
+    not replay (a binder-order case of ``u_down``).  No search is tried
+    then: on every such target measured, ``prove`` found no proof of the
+    goal either."""
     goal = canonicalize(mk_par([x, negate(x)]))
     recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
     proof = replay(start_derivation(goal), recipe)
     if proof is None:
-        out = prove(goal, "down", budget)
-        if not out.found:
-            raise SearchError("interaction proof not found within budget")
-        proof = out.derivation
+        raise SearchError("the target's interaction proof does not replay")
     return proof
 
 
-def _compose_proof(standard: Derivation, f_struct: Structure,
-                   budget: SearchBudget) -> Derivation:
+def _compose_proof(standard: Derivation, f_struct: Structure) -> Derivation:
     """Extend a standard derivation of ``[<e>; R]`` from ``<f>`` into a
     proof of ``[<e>; negate(<f>); R]`` by annihilating the target against
     its negation.  The proof's conclusion is numbered left to right, as
@@ -817,7 +814,7 @@ def _compose_proof(standard: Derivation, f_struct: Structure,
                    beside)
     if lower is None:
         raise SearchError("could not replay a step in context")
-    inter = _interaction_proof(f_struct, budget)
+    inter = _interaction_proof(f_struct)
     if canonical_key(inter.conclusion) != canonical_key(lower.premise):
         raise SearchError("replay target is not congruent to the conclusion")
     return _replay(lower, _recipe(inter))
@@ -860,7 +857,7 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
                 not check_derivation(inverted):
             raise SearchError("inversion returned mismatched endpoints")
     else:
-        proof = _compose_proof(standard, f_struct, budget)
+        proof = _compose_proof(standard, f_struct)
     witness = extract_lts(standard, e, f, env_ids)
     if actions_normalize(witness.label) != actions_normalize(env_to_actions(env)):
         raise ExtractionError("extracted witness carries the wrong label")

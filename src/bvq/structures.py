@@ -509,64 +509,85 @@ def _canon(s: Structure, scope: tuple[tuple[str, str], ...], depth: int,
 # the flattened view of the unit
 _ONE_VIEW = (One, (), "1")
 
-
-def _join(t: type, parts: tuple[Structure, ...],
-          ids: Optional[frozenset[int]]) -> tuple:
-    """The flattened view of a ``t`` bracket node of ``parts`` from the
-    children's views, plain (``_flat``) when ``ids`` is None and marked
-    (``_marked``) otherwise: a child of type ``t`` spreads its items into
-    the node, a unit child leaves none."""
-    items: list[str] = []
-    last = _ONE_VIEW  # the view of the last child with any item
-    for p in parts:
-        if ids is None:
-            got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
-        else:
-            got = _marked(p, ids)
-        tp = got[0]
-        if tp is t:
-            items.extend(got[1])
-        elif tp is not One:
-            items.append(got[2])
-        else:
-            continue
-        last = got
-    if len(items) > 1:
-        if t is not Seq:
-            items.sort()
-        opening, closing = _BRACKET_TAGS[t]
-        return t, tuple(items), opening + ";".join(items) + closing
-    return last  # at most one child left an item, and it is not a t
+# appended to the base of a marked atom; no parsed name has this character
+_MARK = "\x00env"
 
 
-def _flat(s: Structure):
-    """The flattened view ``(type, item keys, key)`` of ``s``, cached on
-    every subterm, as ``_cc`` is; the key is ``canonical_key(s)``.  A
-    bracket node's items are its children's after flattening (Par and
-    CoPar items sorted); any other node is its own single item.  The
-    walk never enters a binder, so no key it builds depends on its
-    context: a quantifier is keyed by ``_canonical``, and one whose
-    binders are all vacuous takes the view of its canonical form, so
-    its body still flattens into a parent.  A node reads its children's
-    views, and an unchanged subterm costs one attribute read."""
-    view = getattr(s, "_fv", None)
-    if view is not None:
-        return view
+def _flat(s: Structure, ids: Optional[frozenset[int]] = None):
+    """The flattened view ``(type, item keys, key)`` of ``s``: plain when
+    ``ids`` is None, and marked otherwise, keying every atom whose uid is
+    in ``ids`` under a marked name.  A bracket node's items are its
+    children's after flattening (Par and CoPar items sorted); any other
+    node is its own single item.  The plain view is cached on every
+    subterm as ``_fv``, as ``_cc`` is, and its key is ``canonical_key(s)``;
+    the marked view is cached as ``_mv = (ids, view)`` and served only for
+    that same ``ids`` object.  A node with no marked atom below it shares
+    its plain view.  The walk never enters a binder, so no key it builds
+    depends on its context: a quantifier is keyed whole by ``_canonical``
+    (of a marked copy of itself alone, if it holds a marked atom), and
+    one whose binders are all vacuous takes the view of its canonical
+    form, so its body still flattens into a parent.  A node reads its
+    children's views, and an unchanged subterm costs one attribute
+    read."""
+    if ids is None or type(s) is Atom and s.uid not in ids:
+        view = getattr(s, "_fv", None)
+        if view is not None:
+            return view
+        ids = None  # an unmarked atom's marked view is its plain view
+    else:
+        hit = getattr(s, "_mv", None)
+        if hit is not None and hit[0] is ids:
+            return hit[1]
     t = type(s)
-    if t is Atom:
+    if t is Atom:  # marked exactly when ids is given
         name = s.name
-        key = _FREE + name.base + ("+" if name.positive else "-")
+        base = name.base if ids is None else name.base + _MARK
+        key = _FREE + base + ("+" if name.positive else "-")
         view = (Atom, (key,), key)
     elif t is Seq or t is Par or t is CoPar:
-        view = _join(t, s.parts, None)
+        items: list[str] = []
+        last = _ONE_VIEW  # the view of the last child with any item
+        for p in s.parts:
+            if ids is None:
+                got = getattr(p, "_fv", None) or _flat(p)  # cached: no call
+            else:
+                got = _flat(p, ids)
+            tp = got[0]
+            if tp is t:  # a child of type t spreads its items into the node
+                items.extend(got[1])
+            elif tp is not One:
+                items.append(got[2])
+            else:
+                continue
+            last = got
+        if len(items) > 1:
+            if t is not Seq:
+                items.sort()
+            opening, closing = _BRACKET_TAGS[t]
+            view = (t, tuple(items), opening + ";".join(items) + closing)
+        else:
+            view = last  # at most one child left an item, and it is not a t
     elif t is Sdq:
-        key, out = _canonical(s)
-        view = (Sdq, (key,), key) if type(out) is Sdq else _flat(out)
+        if ids is not None and any(a.uid in ids for a in iter_atoms(s)):
+            view = _flat(map_atoms(s, lambda a: a if a.uid not in ids else Atom(
+                Name(a.name.base + _MARK, a.name.positive), a.uid)))
+        else:
+            key, out = _canonical(s)
+            view = (Sdq, (key,), key) if type(out) is Sdq else _flat(out)
     elif t is One:
         view = _ONE_VIEW
     else:
         raise TypeError(f"not a structure: {s!r}")
-    object.__setattr__(s, "_fv", view)
+    if ids is None:
+        object.__setattr__(s, "_fv", view)
+        return view
+    if _MARK not in view[2]:  # no marked atom: the plain view, shared
+        plain = getattr(s, "_fv", None)
+        if plain is None:
+            object.__setattr__(s, "_fv", view)
+        else:
+            view = plain
+    object.__setattr__(s, "_mv", (ids, view))
     return view
 
 
@@ -606,10 +627,11 @@ def canonicalize(s: Structure) -> Structure:
 
 def canonical_key(s: Structure) -> str:
     """Serialization of the canonical form; equal keys mean congruent
-    structures.  Ignores occurrence ids.  Read from the cached views of
-    ``_flat``, so a rewritten structure costs a walk of its rebuilt path
-    alone.  Raises ``StructureError`` on input nested beyond the
-    interpreter's recursion limit."""
+    structures.  Ignores occurrence ids.  The key of the plain view
+    ``_flat(s)``, read from the views cached on the subterms, so a
+    rewritten structure costs a walk of its rebuilt path alone.  Raises
+    ``StructureError`` on input nested beyond the interpreter's recursion
+    limit."""
     view = getattr(s, "_fv", None)
     if view is not None:
         return view[2]
@@ -626,65 +648,16 @@ def congruent(r: Structure, t: Structure) -> bool:
     return canonical_key(r) == canonical_key(t)
 
 
-# appended to the base of a marked atom; no parsed name has this character
-_MARK = "\x00env"
-
-
-def _marked_copy(s: Structure, ids: frozenset[int]) -> Structure:
-    """``s`` with every atom whose uid is in ``ids`` renamed to its marked
-    name."""
-    return map_atoms(s, lambda a: a if a.uid not in ids else
-                     Atom(Name(a.name.base + _MARK, a.name.positive), a.uid))
-
-
-def _marked(s: Structure, ids: frozenset[int]):
-    """``_flat(_marked_copy(s, ids))`` without building the copy, cached
-    on every subterm as ``_mv = (ids, view)`` beside ``_fv``.  A bracket
-    node joins its children's marked views with ``_join``, as ``_flat``
-    joins their views; without a marked atom below it, that is its plain
-    view, which it then shares with ``_fv``.  An unmarked atom takes its own view.  A
-    quantifier is keyed whole, so one that holds a marked atom is keyed
-    by ``_flat`` of a marked copy of itself alone, and any other by
-    ``_flat``."""
-    t = type(s)
-    if t is Atom and s.uid not in ids:
-        return getattr(s, "_fv", None) or _flat(s)
-    if t is One:
-        return _ONE_VIEW
-    hit = getattr(s, "_mv", None)
-    if hit is not None and hit[0] is ids:
-        return hit[1]
-    if t is Atom:
-        name = s.name
-        key = _FREE + name.base + _MARK + ("+" if name.positive else "-")
-        view = (Atom, (key,), key)
-    elif t is Seq or t is Par or t is CoPar:
-        view = _join(t, s.parts, ids)
-        if _MARK not in view[2]:  # no marked atom: the plain view, shared
-            plain = getattr(s, "_fv", None)
-            if plain is None:
-                object.__setattr__(s, "_fv", view)
-            else:
-                view = plain
-    elif t is Sdq:
-        held = any(a.uid in ids for a in iter_atoms(s))
-        view = _flat(_marked_copy(s, ids)) if held else _flat(s)
-    else:
-        raise TypeError(f"not a structure: {s!r}")
-    object.__setattr__(s, "_mv", (ids, view))
-    return view
-
-
 def marked_key(s: Structure, ids: frozenset[int]) -> str:
     """The canonical key of ``s`` with every atom whose uid is in ``ids``
     keyed under a marked name, so that it differs from every atom of the
-    same name outside ``ids``.  A view cached for one ``ids`` object is
-    reused only for that same object: a caller that keys many rewrites of
-    one structure with one ``ids`` pays a walk of each rebuilt path alone.
-    Raises ``StructureError`` on input nested beyond the interpreter's
-    recursion limit."""
+    same name outside ``ids``: the key of the marked view ``_flat(s,
+    ids)``.  A caller that keys many rewrites of one structure with one
+    ``ids`` object pays a walk of each rebuilt path alone.  Raises
+    ``StructureError`` on input nested beyond the interpreter's recursion
+    limit."""
     try:
-        return _marked(s, ids)[2]
+        return _flat(s, ids)[2]
     except RecursionError:
         raise StructureError(_TOO_DEEP) from None
 
@@ -789,9 +762,3 @@ def erase_atoms(s: Structure, kill: frozenset[int]) -> Structure:
     """Replace the atoms whose uid is in ``kill`` by the unit."""
     return map_atoms(s, lambda a: ONE if a.uid in kill else a)
 
-
-def find_uid_path(s: Structure, uid: int) -> Optional[Context]:
-    for path, a in iter_atom_paths(s):
-        if a.uid == uid:
-            return path
-    return None

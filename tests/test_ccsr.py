@@ -3,17 +3,32 @@ import random
 import pytest
 
 from bvq.ccsr import (
-    LtsNode, PNu, PPar, ProcessError, RULE_ACT, RULE_COM, RULE_REFL, SILENT,
-    ZERO, actions_congruent, actions_normalize, check_lts_derivation,
+    LtsNode, PNu, PPar, PPrefix, PZero, ProcessError, RULE_ACT, RULE_COM,
+    RULE_REFL, SILENT, ZERO, actions_normalize, check_lts_derivation,
     check_lts_detail, enumerate_reachable, hide_actions, is_simple_process,
     lts_from_dict, lts_reachable, lts_steps, lts_to_dict, parse_actions,
     parse_process, print_actions, print_process, process_congruent,
-    process_size, tran_node,
+    tran_node,
 )
 
 
 def proc(text):
     return parse_process(text)
+
+
+def actions_congruent(a, b):
+    return actions_normalize(a) == actions_normalize(b)
+
+
+def process_size(p):
+    """Prefixes, parallel compositions, restrictions and zeros in ``p``."""
+    if isinstance(p, PZero):
+        return 1
+    if isinstance(p, (PPrefix, PNu)):
+        return 1 + process_size(p.body)
+    if isinstance(p, PPar):
+        return 1 + process_size(p.left) + process_size(p.right)
+    raise TypeError(f"not a process: {p!r}")
 
 
 def test_parse_examples():

@@ -127,6 +127,24 @@ def test_reach_is_reflexive_on_a_two_binder_restriction():
     assert reach(p, p, parse_actions("tau")).proved
 
 
+def test_reach_composes_its_proof_without_a_second_search(monkeypatch):
+    # the interaction recipe of this target pairs the binders in the
+    # wrong order and does not replay; the judgment fails after the one
+    # standard search, with no search for the target's interaction proof
+    calls = []
+    real_search = search._search
+
+    def counting(*args):
+        calls.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(search, "_search", counting)
+    p = parse_process("nu a.nu b.(b.0|~a.0|c.0)")
+    with pytest.raises(SearchError):
+        reach(p, p, parse_actions("tau"))
+    assert len(calls) == 1
+
+
 def test_standard_fragment_proofs_are_standard():
     for goal in ["[<a;b>;<~a;~b>]", "[a;~a;b;~b]", "[fo a.<a;b>; fo a.~a; ~b]"]:
         out = prove(parse_structure(goal), "standard")

@@ -17,8 +17,8 @@ from bvq.standardize import (
     seq_numbers, standardize,
 )
 from bvq.structures import (
-    canonical_key, congruent, iter_atoms, parse_structure, print_structure,
-    strip_ids, uid_set,
+    canonical_key, congruent, iter_atom_paths, iter_atoms, parse_structure,
+    print_structure, strip_ids, uid_set,
 )
 from bvq.search import derive
 from bvq.selftest import random_proof, random_trivial_derivation
@@ -344,7 +344,7 @@ def test_preserving_right_contexts_along_trivial_derivations():
     rng = random.Random(13)
     from bvq.selftest import random_process
     from bvq.bridge import to_structure
-    from bvq.structures import assign_ids, find_uid_path
+    from bvq.structures import assign_ids
     checked = 0
     for _ in range(60):
         e = random_process(rng, 8)
@@ -355,7 +355,8 @@ def test_preserving_right_contexts_along_trivial_derivations():
         for uid in sorted(a.uid for a in iter_atoms(base) if a.uid is not None):
             verdicts = []
             for s in chain:
-                path = find_uid_path(s, uid)
+                path = next((p for p, a in iter_atom_paths(s) if a.uid == uid),
+                            None)
                 if path is None:
                     break
                 verdicts.append(is_right_context(s, path))

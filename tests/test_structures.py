@@ -247,3 +247,22 @@ def test_ids_survive_canonicalization():
     assert n == 4 and uid_set(s) == frozenset(range(4))
     assert uid_set(canonicalize(s)) == frozenset(range(4))
     assert strip_ids(canonicalize(s)) == canonicalize(strip_ids(s))
+
+
+def test_marked_views_share_plain_views_and_serve_only_their_ids_object():
+    s, _ = assign_ids(parse_structure("[<a;b>;<c;d>]"))
+    ids = frozenset({2})  # the c
+    key = marked_key(s, ids)
+    assert key != canonical_key(s)
+    unmarked, marked = s.parts
+    # a bracket node with no marked atom below it shares its plain view
+    assert unmarked._mv[0] is ids and unmarked._mv[1] is unmarked._fv
+    assert "\x00env" in marked._mv[1][2]
+    # a cached view is served for its own ids object alone, not for an
+    # equal but distinct one
+    object.__setattr__(s, "_mv", (ids, (Par, ("stale",), "stale")))
+    assert marked_key(s, ids) == "stale"
+    other = frozenset(set(ids))
+    assert other == ids and other is not ids
+    assert marked_key(s, other) == key
+    assert s._mv[0] is other

@@ -10,11 +10,13 @@ CORPUS_DIFF = os.path.join(ROOT, "tools", "corpus_diff.py")
 BENCH_PAIRS = os.path.join(ROOT, "tools", "bench_pairs.py")
 
 
-def _corpus_diff(against: str, workload: str = "prove_closure"
-                 ) -> subprocess.CompletedProcess:
+def _corpus_diff(against: str, *workloads: str) -> subprocess.CompletedProcess:
+    """Every 100th op of ``workloads`` (default ``prove_closure``), each
+    passed with a ``--workload`` flag of its own."""
+    flags = [f for w in workloads or ("prove_closure",) for f in ("--workload", w)]
     return subprocess.run(
-        [sys.executable, CORPUS_DIFF, "--against", against,
-         "--workload", workload, "--every", "100"],
+        [sys.executable, CORPUS_DIFF, "--against", against, *flags,
+         "--every", "100"],
         capture_output=True, text=True, timeout=300)
 
 
@@ -27,6 +29,14 @@ def test_corpus_diff_of_a_tree_against_itself_reports_no_difference():
     out = _corpus_diff(ROOT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "6 ops compared, 0 differ"
+
+
+def test_corpus_diff_runs_every_workload_of_repeated_flags():
+    # 6 prove_closure ops and 16 reach_oracle ops: each flag adds its
+    # workload to the ones named before it
+    out = _corpus_diff(ROOT, "prove_closure", "reach_oracle")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "22 ops compared, 0 differ"
 
 
 def test_corpus_diff_names_the_ops_whose_certificate_changed(tmp_path):

@@ -119,12 +119,14 @@ def _records(proc: subprocess.Popen, out, tree: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", help="root of the tree to compare with")
-    ap.add_argument("--workload", nargs="+", choices=WORKLOADS,
-                    default=list(WORKLOADS))
+    ap.add_argument("--workload", nargs="+", action="extend", choices=WORKLOADS,
+                    help="workloads to run (repeatable; default: all)")
     ap.add_argument("--every", type=int, default=1,
                     help="run every k-th operation of each corpus")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    # set here, not as the default: ``extend`` would append to a default
+    args.workload = list(dict.fromkeys(args.workload or WORKLOADS))
     if args.every < 1:
         ap.error("--every must be positive")
     if args.worker:
