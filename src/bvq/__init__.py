@@ -23,8 +23,8 @@ from .bridge import (
     from_structure, is_trivial_derivation, to_structure,
 )
 from .search import (
-    ReachVerdict, SearchBudget, consumes, derive, extract_lts, invert, prove,
-    reach, reduce, split,
+    ReachVerdict, SearchBudget, consumes, derive, extract_lts, prove, reach,
+    reduce,
 )
 
 __version__ = "0.1.0"

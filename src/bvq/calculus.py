@@ -131,14 +131,6 @@ def same_occurrences(a: Structure, b: Structure) -> bool:
     return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
 
 
-def concat(lower: Derivation, upper: Derivation) -> Derivation:
-    """Chain two derivations; the upper one must start where the lower
-    one ends (same canonical form and occurrence ids)."""
-    if not same_occurrences(lower.premise, upper.conclusion):
-        raise DerivationError("derivations do not chain")
-    return Derivation(lower.conclusion, lower.steps + upper.steps)
-
-
 # ---------------------------------------------------------------------------
 # instance enumeration
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ def cmd_size(args) -> int:
     return 0
 
 
+def _not_found(args, payload: dict, outcome) -> int:
+    """Emit a negative search result; ``outcome`` says why it stopped."""
+    _emit(args, payload,
+          "not found (budget exhausted)" if outcome.exhausted
+          else "not found (state space closed)")
+    return 1
+
+
 def _search_result(args, outcome) -> int:
     if outcome.found:
         payload = {"status": "proved",
@@ -100,10 +108,7 @@ def _search_result(args, outcome) -> int:
         return 0
     payload = {"status": "not_found", "exhausted": outcome.exhausted,
                "stats": {"steps": outcome.steps, "visited": outcome.visited}}
-    _emit(args, payload,
-          "not found (budget exhausted)" if outcome.exhausted
-          else "not found (state space closed)")
-    return 1
+    return _not_found(args, payload, outcome)
 
 
 def cmd_prove(args) -> int:
@@ -176,8 +181,7 @@ def cmd_reach(args) -> int:
     e = parse_process(args.process)
     f = parse_process(args.target)
     alpha = parse_actions(args.actions)
-    verdict = reach(e, f, alpha, _budget(args),
-                    via_inversion=args.via_inversion)
+    verdict = reach(e, f, alpha, _budget(args))
     payload = verdict_to_dict(verdict)
     if not args.timings:
         _strip_timings(payload)
@@ -195,10 +199,7 @@ def cmd_reach(args) -> int:
         ])
         _emit(args, payload, text)
         return 0
-    _emit(args, payload,
-          "not found (budget exhausted)" if verdict.exhausted
-          else "not found (state space closed)")
-    return 1
+    return _not_found(args, payload, verdict)
 
 
 def cmd_lts(args) -> int:
@@ -324,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("process")
     p.add_argument("target")
     p.add_argument("actions")
-    p.add_argument("--via-inversion", action="store_true",
-                   help="use the prove-then-invert pipeline")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed time in the JSON stats")
     common(p, budget=True)

@@ -1,6 +1,6 @@
 """Bottom-up proof and derivation search, reduction of standard
-derivations, environment consumption, splitting and inversion, witness
-extraction, and the end-to-end reachability pipeline.
+derivations, environment consumption, witness extraction, and the
+end-to-end reachability pipeline.
 
 Search is a breadth-first closure over canonical forms: no down rule
 grows a structure going up, so the reachable state space of a goal is
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
@@ -42,7 +42,7 @@ from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
     canonical_key, canonicalize, erase_atoms, is_tensor_free,
     iter_atoms, map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate,
-    replace_at, strip_ids, subterm_at, uid_set,
+    replace_at, subterm_at, uid_set,
 )
 
 
@@ -270,191 +270,6 @@ def reduce(d: Derivation) -> Derivation:
     if not check_derivation(out):
         raise SearchError("reduction produced an invalid derivation")
     return out
-
-
-# ---------------------------------------------------------------------------
-# splitting and inversion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class SplitResult:
-    pieces: tuple[Structure, ...]   # the synthesized components
-    derivation: Derivation          # the promised context derivation
-    proofs: tuple[Derivation, ...]  # proofs of the component goals
-
-
-def _sub_structures(s: Structure) -> list[Structure]:
-    """Candidate pool for split components: canonical subterms and their
-    contiguous slices, plus the unit."""
-    seen: dict[str, Structure] = {"1": ONE}
-
-    def note(t: Structure) -> None:
-        u = canonicalize(strip_ids(t))
-        seen.setdefault(canonical_key(u), u)
-
-    def walk(t: Structure) -> None:
-        note(t)
-        if isinstance(t, (Seq, Par)):
-            for i in range(len(t.parts)):
-                for j in range(i + 1, len(t.parts) + 1):
-                    note(type(t)(t.parts[i:j]) if j - i > 1 else t.parts[i])
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Sdq):
-            walk(t.body)
-
-    walk(canonicalize(strip_ids(s)))
-    out = list(seen.values())
-    out.sort(key=lambda t: (len(canonical_key(t)), canonical_key(t)))
-    return out
-
-
-def _piece_budget(budget: SearchBudget) -> SearchBudget:
-    return SearchBudget(max(2000, budget.max_steps // 50),
-                        max(1000, budget.max_visited // 50))
-
-
-def split(proof: Derivation, shape: str, parts: tuple[Structure, ...],
-          budget: SearchBudget = DEFAULT_BUDGET) -> SplitResult:
-    """Realize one case of shallow splitting by bounded search.
-
-    For a proof of ``[<R;T>; P]`` (shape ``seq``) finds P1, P2 with a
-    derivation of P from ``<P1;P2>`` and proofs of ``[R;P1]``, ``[T;P2]``;
-    ``copar`` is the same with ``[P1;P2]``; ``atom`` (parts R0, R1, P)
-    finds a derivation of ``[R0;P]`` from ``negate(R1)``; ``fo`` (parts
-    binder, R, P) finds T with a derivation of P from ``fo a.T`` and a
-    proof of ``[R;T]``."""
-    if canonical_key(proof.premise) != "1":
-        raise SearchError("splitting applies to proofs")
-    small = _piece_budget(budget)
-    if shape in ("seq", "copar"):
-        r, t, p = parts
-        cands = _sub_structures(p)
-        for p1 in cands:
-            pr1 = prove(canonicalize(mk_par([r, p1])), "down", small)
-            if not pr1.found:
-                continue
-            for p2 in cands:
-                pr2 = prove(canonicalize(mk_par([t, p2])), "down", small)
-                if not pr2.found:
-                    continue
-                ctx = mk_seq([p1, p2]) if shape == "seq" else mk_par([p1, p2])
-                dv = derive(p, canonicalize(ctx), "down", small)
-                if dv.found:
-                    return SplitResult((p1, p2), dv.derivation,
-                                       (pr1.derivation, pr2.derivation))
-        raise SearchError("split search exhausted its budget")
-    if shape == "atom":
-        r0, r1, p = parts
-        goal = canonicalize(mk_par([r0, p]))
-        dv = derive(goal, canonicalize(negate(r1)), "down", budget)
-        if not dv.found:
-            raise SearchError("split search exhausted its budget")
-        return SplitResult((canonicalize(negate(r1)),), dv.derivation, ())
-    if shape == "fo":
-        binder, r, p = parts
-        if not isinstance(binder, Atom) or not binder.name.positive:
-            raise SearchError("fo split needs a positive binder name")
-        a = binder.name
-        for t in _sub_structures(p):
-            pr = prove(canonicalize(mk_par([r, t])), "down", small)
-            if not pr.found:
-                continue
-            dv = derive(p, canonicalize(Sdq(a, t)), "down", small)
-            if dv.found:
-                return SplitResult((t,), dv.derivation, (pr.derivation,))
-        raise SearchError("split search exhausted its budget")
-    raise SearchError(f"unknown split shape {shape!r}")
-
-
-def _replay(start: Derivation, recipe: list[RecipeEntry]) -> Derivation:
-    out = replay(start, recipe)
-    if out is None:
-        raise SearchError("could not replay the assembled derivation")
-    return out
-
-
-def _recipe(d: Derivation, embed: Callable[[Structure], Structure] = lambda s: s
-            ) -> list[RecipeEntry]:
-    """The steps of ``d`` as a recipe whose premises are keyed inside the
-    context ``embed``; ids are not compared."""
-    return [(st.rule, canonical_key(canonicalize(embed(st.result))), None)
-            for st in d.steps]
-
-
-def _strip_from_par(whole: Structure, piece: Structure) -> Structure:
-    """Remove the Par material congruent to ``piece`` and return the rest."""
-    parts = list(whole.parts) if isinstance(whole, Par) else [whole]
-    want = canonical_key(piece)
-    if want == "1":
-        return canonicalize(mk_par(parts))
-    for i, c in enumerate(parts):
-        if canonical_key(c) == want:
-            del parts[i]
-            return canonicalize(mk_par(parts))
-    if isinstance(piece, Par):  # spread over several components
-        rest = list(parts)
-        for sub in piece.parts:
-            for i, c in enumerate(rest):
-                if canonical_key(c) == canonical_key(sub):
-                    del rest[i]
-                    break
-            else:
-                raise SearchError("the proof does not prove [negate(t); P]")
-        return canonicalize(mk_par(rest))
-    raise SearchError("the proof does not prove [negate(t); P]")
-
-
-def invert(t: Structure, proof: Derivation,
-           budget: SearchBudget = DEFAULT_BUDGET) -> Derivation:
-    """Turn a proof of ``[negate(t); P]`` into a derivation of ``P`` from
-    the co-invertible ``t`` by recursion on the shape of ``negate(t)``,
-    delegating component discovery to ``split``."""
-    nt = canonicalize(negate(strip_ids(t)))
-    if not classify_structure(nt).is_invertible:
-        raise SearchError("the negation of the target is not invertible")
-    p = _strip_from_par(canonicalize(strip_ids(proof.conclusion)), nt)
-    recipe = _invert_recipe(nt, p, proof, budget)
-    out = _replay(start_derivation(p), recipe)
-    if canonical_key(out.premise) != canonical_key(canonicalize(negate(nt))):
-        raise SearchError("inversion assembled mismatched endpoints")
-    return out
-
-
-def _invert_recipe(nt: Structure, p: Structure, proof: Derivation,
-                   budget: SearchBudget) -> list[RecipeEntry]:
-    """Step recipe for a derivation of ``p`` from ``negate(nt)``."""
-    if canonical_key(nt) == "1":
-        # the proof of [1; p] is already a derivation of p from the unit
-        return _recipe(proof)
-    if isinstance(nt, Atom) or (isinstance(nt, Par)
-                                and all(isinstance(x, Atom) for x in nt.parts)):
-        res = split(proof, "atom", (ONE, nt, p), budget)
-        return _recipe(res.derivation)
-    if isinstance(nt, CoPar):
-        r1 = canonicalize(nt.parts[0])
-        r2 = canonicalize(mk_copar(nt.parts[1:]))
-        res = split(proof, "copar", (r1, r2, p), budget)
-        p1, p2 = res.pieces
-        sub1 = _invert_recipe(r1, p1, res.proofs[0], budget)
-        sub2 = _invert_recipe(r2, p2, res.proofs[1], budget)
-        neg1 = canonicalize(negate(r1))
-        recipe = _recipe(res.derivation)
-        recipe += _recipe(_replay(start_derivation(p1), sub1),
-                          lambda s: mk_par([s, p2]))
-        recipe += _recipe(_replay(start_derivation(p2), sub2),
-                          lambda s: mk_par([s, neg1]))
-        return recipe
-    if isinstance(nt, Sdq):
-        res = split(proof, "fo", (Atom(nt.binder), canonicalize(nt.body), p),
-                    budget)
-        t_piece = res.pieces[0]
-        sub = _invert_recipe(canonicalize(nt.body), t_piece, res.proofs[0], budget)
-        recipe = _recipe(res.derivation)
-        recipe += _recipe(_replay(start_derivation(t_piece), sub),
-                          lambda s: Sdq(nt.binder, s))
-        return recipe
-    raise SearchError("the negation of the target is not invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -726,12 +541,17 @@ class ReachVerdict:
     proof: Optional[Derivation] = None
     standard: Optional[Derivation] = None
     witness: Optional[LtsNode] = None
-    exhausted: bool = False
+    stopped_by: str = "goal"            # as in ``SearchOutcome``
     stats: ReachStats = field(default_factory=ReachStats)
 
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+    @property
+    def exhausted(self) -> bool:
+        """Stopped by a budget, not by a goal or a closed state space."""
+        return self.stopped_by in ("steps", "visited")
 
 
 def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]:
@@ -817,21 +637,23 @@ def _compose_proof(standard: Derivation, f_struct: Structure) -> Derivation:
     inter = _interaction_proof(f_struct)
     if canonical_key(inter.conclusion) != canonical_key(lower.premise):
         raise SearchError("replay target is not congruent to the conclusion")
-    return _replay(lower, _recipe(inter))
+    proof = replay(lower, [(st.rule, canonical_key(st.result), None)
+                           for st in inter.steps])
+    if proof is None:
+        raise SearchError("could not replay the assembled derivation")
+    return proof
 
 
 def reach(e: Process, f: Process, alpha: ActionSeq,
-          budget: SearchBudget = DEFAULT_BUDGET,
-          via_inversion: bool = False) -> ReachVerdict:
+          budget: SearchBudget = DEFAULT_BUDGET) -> ReachVerdict:
     """Decide the reachability judgment ``e -> f with alpha`` by proof
     search and return fully checked certificates on success.
 
-    With ``via_inversion`` the proof certificate comes from a separate
-    ``prove`` of the compiled goal instead of composition, and
-    ``invert`` turns it into a derivation from the target, which is
-    checked and then discarded.  The standard search still runs first
-    and decides the verdict: when it fails the result is ``not_found``,
-    and the witness is extracted from its derivation."""
+    The verdict is that of one search in the standard fragment for a
+    derivation of ``[<e>; R]`` from ``<f>`` that consumes the
+    environment ``R``.  On success the witness is extracted from that
+    derivation, and the proof of the compiled goal
+    ``[<e>; negate(<f>); R]`` is composed from it (``_compose_proof``)."""
     t0 = time.perf_counter()
     if not is_simple_process(f):
         raise SearchError("the target process must be simple")
@@ -844,20 +666,9 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
     out = _search(concl, "standard", budget, canonical_key(f_struct), env_ids)
     stats = ReachStats(out.steps, out.visited, (time.perf_counter() - t0) * 1000)
     if not out.found:
-        return ReachVerdict("not_found", exhausted=out.exhausted, stats=stats)
+        return ReachVerdict("not_found", stopped_by=out.stopped_by, stats=stats)
     standard = out.derivation
-    if via_inversion:
-        goal = canonicalize(mk_par([e_struct, negate(f_struct), env]))
-        pr = prove(goal, "down", budget)
-        if not pr.found:
-            raise SearchError("inversion path: no proof of the compiled goal")
-        proof = pr.derivation
-        inverted = invert(f_struct, proof, budget)
-        if canonical_key(inverted.premise) != canonical_key(f_struct) or \
-                not check_derivation(inverted):
-            raise SearchError("inversion returned mismatched endpoints")
-    else:
-        proof = _compose_proof(standard, f_struct)
+    proof = _compose_proof(standard, f_struct)
     witness = extract_lts(standard, e, f, env_ids)
     if actions_normalize(witness.label) != actions_normalize(env_to_actions(env)):
         raise ExtractionError("extracted witness carries the wrong label")

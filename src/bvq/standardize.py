@@ -22,7 +22,7 @@ from typing import Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError,
     RuleInstance, Step, apply_instance, breadth_first, check_derivation,
-    enumerate_instances, is_right_context, premise_key, seq_number,
+    enumerate_instances, premise_key, seq_number,
 )
 from .structures import Structure, canonical_key, is_tensor_free, uid_set
 

@@ -8,7 +8,7 @@ from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
-    check_derivation, check_derivation_detail, concat, derivation_from_dict,
+    check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
     premise_key, replay, start_derivation,
 )
@@ -97,12 +97,6 @@ def test_trivial_derivation_checks():
     d = extend(d, inst)
     assert check_derivation(d)
     assert derivation_length(d) == 2 - 1
-
-
-def test_concat_lengths():
-    d = _internal_comm_derivation()
-    empty = Derivation(d.premise)
-    assert derivation_length(concat(d, empty)) == derivation_length(d)
 
 
 def test_instance_size_accounting():

@@ -46,6 +46,13 @@ def test_reach_not_found(capsys):
     assert code == 1
 
 
+def test_reach_has_no_via_inversion_option(capsys):
+    code, out, err = run(capsys, "reach", "nu a.(a.b.0|~a.0)", "nu a.(0|0)",
+                         "b", "--via-inversion")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --via-inversion" in err
+
+
 def test_milner_contrast(capsys):
     code, _, _ = run(capsys, "lts", "(nu a.a.b.0)|(nu a.~a.0)",
                      "nu a.(0|0)", "b", "--depth", "4")

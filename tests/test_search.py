@@ -19,7 +19,7 @@ from bvq.ccsr import (
 )
 from bvq.search import (
     ExtractionError, SearchBudget, SearchError, consumes, derive, extract_lts,
-    invert, prove, reach, reduce, split, verdict_to_dict,
+    prove, reach, reduce, verdict_to_dict,
 )
 from bvq.selftest import random_process
 from bvq.standardize import is_standard
@@ -250,68 +250,6 @@ def test_reduce_random_standard_derivations_keep_process_endpoints():
     assert checked > 0
 
 
-def test_split_seq_shape():
-    pr = prove(parse_structure("[<a;b>;<~a;~b>]"))
-    res = split(pr.derivation, "seq",
-                (parse_structure("a"), parse_structure("b"),
-                 parse_structure("<~a;~b>")))
-    assert {print_structure(p) for p in res.pieces} == {"~a", "~b"}
-    assert check_derivation(res.derivation)
-    assert all(check_derivation(p) and canonical_key(p.premise) == "1"
-               for p in res.proofs)
-
-
-def test_split_fo_shape():
-    pr = prove(parse_structure("fo a.[a;~a]"))
-    res = split(pr.derivation, "fo",
-                (parse_structure("a"), parse_structure("[a;~a]"),
-                 parse_structure("1")))
-    assert canonical_key(res.pieces[0]) == "1"
-
-
-def test_split_atom_shape():
-    pr = prove(parse_structure("[a;~a]"))
-    res = split(pr.derivation, "atom",
-                (parse_structure("a"), parse_structure("1"),
-                 parse_structure("~a")))
-    assert canonical_key(res.derivation.premise) == "1"
-    assert congruent(res.derivation.conclusion, parse_structure("[a;~a]"))
-
-
-def test_invert_simple_structure():
-    t = parse_structure("[a;~b]")
-    goal = canonicalize(mk_par([negate(t), t]))
-    pr = prove(goal)
-    assert pr.found
-    dv = invert(t, pr.derivation)
-    assert check_derivation(dv)
-    assert congruent(dv.premise, t)
-    assert congruent(dv.conclusion, t)
-
-
-def test_invert_unit_case():
-    pr = prove(parse_structure("[a;~a]"))
-    dv = invert(parse_structure("1"), pr.derivation)
-    assert canonical_key(dv.premise) == "1"
-    assert congruent(dv.conclusion, parse_structure("[a;~a]"))
-
-
-def test_invert_rejects_non_coinvertible():
-    pr = prove(parse_structure("[a;~a]"))
-    with pytest.raises(SearchError):
-        invert(parse_structure("<a;b>"), pr.derivation)
-
-
-def test_invert_quantified_target():
-    t = parse_structure("fo a.[a;b]")
-    goal = canonicalize(mk_par([negate(t), canonicalize(t)]))
-    pr = prove(goal)
-    assert pr.found
-    dv = invert(t, pr.derivation)
-    assert check_derivation(dv)
-    assert congruent(dv.premise, t)
-
-
 # --- extraction and the pipeline -------------------------------------------
 
 def test_extract_lts_worked_example():
@@ -464,16 +402,6 @@ def test_reach_certificates_validate():
     payload = verdict_to_dict(v)
     assert payload["status"] == "proved"
     assert set(payload) >= {"proof", "standardDerivation", "ltsWitness", "stats"}
-
-
-def test_reach_via_inversion_agrees():
-    e = parse_process("nu a.(a.b.0|~a.0)")
-    f = parse_process("nu a.(0|0)")
-    v1 = reach(e, f, parse_actions("b"))
-    v2 = reach(e, f, parse_actions("b"), via_inversion=True)
-    assert v1.proved and v2.proved
-    assert check_derivation(v2.proof)
-    assert canonical_key(v2.proof.premise) == "1"
 
 
 def test_reach_label_sequences():

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Step, breadth_first,
     check_derivation, derivation_from_dict, enumerate_instances, extend,
-    apply_instance, replay, start_derivation,
+    apply_instance, is_right_context, replay, start_derivation,
 )
 from bvq.standardize import (
     _WINDOW_DEPTH, _WINDOW_VISITED, StandardizationError, _window_search,
-    commute_once, is_right_context, is_standard, relabel, seq_number,
+    commute_once, is_standard, relabel, seq_number,
     seq_numbers, standardize,
 )
 from bvq.structures import (
