@@ -13,10 +13,13 @@ one part when needed); an instance records the Par-node path, the
 children it consumes and the structure that replaces them.  Enumeration
 works on canonical forms and matches modulo congruence by trying the
 unit-degenerate readings of each child, so e.g. ``[<l;R>;T]`` has a
-``q_down`` instance with premise ``<l;[R;T]>``.  ``replay`` is the one
-way to rebuild a derivation from a recipe of (rule, premise key, premise
-ids) steps, and ``breadth_first`` is the one breadth-first search loop
-over derivation states.
+``q_down`` instance with premise ``<l;[R;T]>``.  Enumeration is lazy and
+yields each instance with the structure rewritten at it, so a search
+keys a successor from that tree and stops generating instances when its
+budget runs out.  ``replay`` is the one way to rebuild a derivation from
+a recipe of (rule, premise key, premise ids) steps, and
+``breadth_first`` is the one breadth-first search loop over derivation
+states, each successor keyed by the search that generates it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ DOWN_FRAGMENT = frozenset({AI_DOWN, AI_DOWN_LEFT, SWITCH, Q_DOWN, U_DOWN})
 UP_RULES = frozenset({AI_UP, Q_UP, U_UP})
 _DUAL = {AI_UP: AI_DOWN, Q_UP: Q_DOWN, U_UP: U_DOWN}
 
-_RULE_ORDER = {AI_DOWN: 0, AI_DOWN_LEFT: 0, Q_DOWN: 1, U_DOWN: 2, SWITCH: 3}
+# the rule classes in the order ``enumerate_instances`` yields them
+_RULE_CLASSES = (frozenset({AI_DOWN, AI_DOWN_LEFT}), frozenset({Q_DOWN}),
+                 frozenset({U_DOWN}), frozenset({SWITCH}))
 
 
 class DerivationError(ValueError):
@@ -75,8 +80,8 @@ class RuleInstance:
         return got
 
     def sort_key(self):
-        return (_RULE_ORDER.get(self.rule, 9), self.path,
-                tuple(map(canonical_key, self.consumed)),
+        """Order among the instances of one rule at one Par node."""
+        return (tuple(map(canonical_key, self.consumed)),
                 canonical_key(self.replacement), self.consumed_uids())
 
 
@@ -234,18 +239,23 @@ def _node_instances(node: Par, path: Context, fragment: frozenset[str]) -> Itera
                     yield RuleInstance(SWITCH, path, (cp, *u), repl, frozenset())
 
 
-def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT,
-                        rewrites: Optional[dict] = None) -> list[RuleInstance]:
-    """All down-rule instances whose conclusion matches ``s`` (canonical),
-    deterministically ordered.  Instances whose premise is congruent to
-    the conclusion are dropped as no-ops, and of the instances with the
-    same rule, path, premise and consumed ids only the first is kept.
-    Both filters read the premise's key from ``premise_key``, which
-    builds no premise, with or without a quantifier, so no instance is
-    applied here: a caller builds only the premises it keeps.
+def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
+                        ) -> Iterator[tuple[RuleInstance, Structure]]:
+    """Yield ``(instance, rewritten)`` for every down-rule instance whose
+    conclusion matches ``s`` (canonical), where ``rewritten`` is ``s``
+    rewritten at the instance (``_rewrite``, not canonicalized).  Pairs
+    come rule class by rule class (``_RULE_CLASSES``), then Par node by
+    Par node in pre-order, which is sorted path order, each node's
+    instances sorted by ``RuleInstance.sort_key``.  So a caller that stops
+    early has generated the instances of the classes and nodes it reached
+    only.  Instances whose premise is congruent to the conclusion are
+    dropped as no-ops, and of the instances with the same rule, path,
+    premise and consumed ids only the first is kept.  Both filters key
+    the rewritten tree, which caches its flattened views, so a caller
+    keys or canonicalizes it without walking it again.
 
     ``_node_instances`` never generates two kinds of instance that these
-    filters would drop anyway, so none is keyed:
+    filters would drop anyway, so none is rewritten:
 
     * the mirror ``(j, i)`` of a ``q_down`` pair, or of a ``u_down`` pair
       of two quantifiers: it consumes the same children as ``(i, j)``
@@ -255,35 +265,35 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT,
       unit: its premise ``[R;T]`` is the conclusion, a no-op.
 
     Duplicates from congruent siblings remain, and the filters drop them.
-    ``rewrites``, when given, collects the structures ``premise_key``
-    rewrites here (see there).  The filters read the plain key even
-    then: in a twin judgment, which ``search._search`` keys by the
-    marked key, they drop some successors that the marked key tells
-    apart (a no-op or a duplicate only up to which twin is marked).
+    The filters read the plain key even in a twin judgment, which
+    ``search._search`` keys by the marked key: there they drop some
+    successors that the marked key tells apart (a no-op or a duplicate
+    only up to which twin is marked).
     """
     fragment = frozenset(fragment)
     if not fragment <= DOWN_FRAGMENT:
         raise DerivationError("search fragments may only contain down rules")
-    out: list[RuleInstance] = []
-    seen: set[tuple] = set()
     root_key = canonical_key(s)
-    for path, node in _par_nodes(s):
-        for inst in _node_instances(node, path, fragment):
-            if inst.rule in (AI_DOWN, AI_DOWN_LEFT):
+    nodes = list(_par_nodes(s))
+    for rules in _RULE_CLASSES:
+        rules &= fragment
+        if not rules:
+            continue
+        for path, node in nodes:
+            kept: list[tuple[RuleInstance, Structure]] = []
+            seen: set[tuple] = set()
+            for inst in _node_instances(node, path, rules):
+                tree = _rewrite(s, inst)
                 # interactions strictly shrink and distinct pairs never
-                # coincide, so skip the no-op/duplicate filtering
-                out.append(inst)
-                continue
-            pk = premise_key(s, inst, rewrites)
-            if pk == root_key:
-                continue
-            dedup = (inst.rule, inst.path, pk, inst.consumed_uids())
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            out.append(inst)
-    out.sort(key=RuleInstance.sort_key)
-    return out
+                # coincide, so they skip the no-op/duplicate filtering
+                if inst.rule != AI_DOWN:
+                    dedup = (canonical_key(tree), inst.consumed_uids())
+                    if dedup[0] == root_key or dedup in seen:
+                        continue
+                    seen.add(dedup)
+                kept.append((inst, tree))
+            kept.sort(key=lambda pair: pair[0].sort_key())
+            yield from kept
 
 
 def _remove_children(parts: tuple[Structure, ...], consumed: tuple[Structure, ...]
@@ -318,26 +328,6 @@ def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
     out = canonicalize(_rewrite(s, inst))
     object.__setattr__(inst, "_applied", (s, out))
     return out
-
-
-def premise_key(s: Structure, inst: RuleInstance,
-                rewrites: Optional[dict] = None) -> str:
-    """``canonical_key(apply_instance(s, inst))`` without building the
-    canonical premise: only the path down to the redex is rebuilt
-    (``_rewrite``), and its key is read from the flattened views, where
-    every sibling off the path keeps its cached view.  When it rewrites
-    ``s`` and ``rewrites`` is given, it stores ``(inst, rewritten)``
-    there under ``id(inst)``, for a caller that keys the same rewrite
-    another way; the instance itself keeps only the key."""
-    cached = getattr(inst, "_premise_key", None)
-    if cached is not None and cached[0] is s:
-        return cached[1]
-    out = _rewrite(s, inst)
-    key = canonical_key(out)
-    object.__setattr__(inst, "_premise_key", (s, key))
-    if rewrites is not None:
-        rewrites[id(inst)] = (inst, out)
-    return key
 
 
 def extend(d: Derivation, inst: RuleInstance) -> Derivation:
@@ -378,12 +368,13 @@ def _recipe_candidates(cur: Structure, entry: RecipeEntry) -> Iterator[tuple]:
     rule, want, ids = entry
     base = AI_DOWN if rule == AI_DOWN_LEFT else rule
     gone = None if ids is None else uid_set(cur) - ids
-    for inst in enumerate_instances(cur, frozenset({base})):
+    for inst, tree in enumerate_instances(cur, frozenset({base})):
         # an interaction must eat exactly the ids that disappear; the id
-        # check below implies this, testing it first only saves the apply
+        # check below implies this, testing it first only saves the
+        # canonicalization
         if gone is not None and inst.rule == AI_DOWN and inst.consumed_ids != gone:
             continue
-        nxt = apply_instance(cur, inst)
+        nxt = canonicalize(tree)
         if canonical_key(nxt) == want and (ids is None or uid_set(nxt) == ids):
             yield inst, nxt
 
@@ -397,31 +388,30 @@ def replay(start: Derivation, recipe: list[RecipeEntry]) -> Optional[Derivation]
     return _backtrack(start, recipe, _recipe_candidates)[0]
 
 
-def breadth_first(start, key: Callable, successors: Callable, is_goal: Callable,
+def breadth_first(start, start_key, successors: Callable, is_goal: Callable,
                   max_steps: float, max_visited: float
                   ) -> tuple[Optional[list[tuple]], str, int, int]:
-    """Breadth-first search from ``start``; ``successors(state)`` yields
-    ``(edge, state)`` pairs and a state whose ``key`` was seen is dropped.
-    The goal is tested on each new key when it is generated.  Every
-    successor counts one step, checked before it is keyed; the count of
-    distinct states is checked after each new state that is not a goal.
+    """Breadth-first search from ``start``, whose key is ``start_key``;
+    ``successors(state)`` yields ``(edge, state, key)`` triples, and a
+    state whose key was seen is dropped.  The goal is tested on each new
+    key when it is generated.  Every successor counts one step, checked
+    after its generator keyed it; the count of distinct states is
+    checked after each new state that is not a goal.
     Returns ``(path, stopped_by, steps, visited)``: ``path`` lists the
     ``(edge, state)`` pairs up to the goal or is None, and ``stopped_by``
     says why the search stopped: ``"goal"``, the ``"steps"`` or the
     ``"visited"`` budget, or a ``"closed"`` state space."""
-    k0 = key(start)
-    if is_goal(k0):
+    if is_goal(start_key):
         return [], "goal", 0, 1
-    parents: dict = {k0: (None, None, start)}  # key -> (parent key, edge, state)
-    queue = deque([k0])
+    parents: dict = {start_key: (None, None, start)}  # key -> (parent key, edge, state)
+    queue = deque([start_key])
     steps = 0
     while queue:
         k = queue.popleft()
-        for edge, nxt in successors(parents[k][2]):
+        for edge, nxt, nk in successors(parents[k][2]):
             steps += 1
             if steps > max_steps:
                 return None, "steps", steps, len(parents)
-            nk = key(nxt)
             if nk in parents:
                 continue
             parents[nk] = (k, edge, nxt)
@@ -603,14 +593,14 @@ def _json_candidates(cur: Structure, sd: dict) -> Iterator[tuple]:
     before = canonical_key(parse_structure(sd["redexBefore"]))
     after = canonical_key(parse_structure(sd["redexAfter"]))
     base = AI_DOWN if rule in (AI_DOWN, AI_DOWN_LEFT) else rule
-    for inst in enumerate_instances(cur, frozenset({base})):
+    for inst, tree in enumerate_instances(cur, frozenset({base})):
         if inst.path != path or canonical_key(inst.conclusion_redex) != before \
                 or canonical_key(inst.replacement) != after \
                 or want_ids and inst.consumed_ids != want_ids:
             continue
         if rule == AI_DOWN_LEFT:
             inst = replace(inst, rule=AI_DOWN_LEFT)
-        yield inst, apply_instance(cur, inst)
+        yield inst, canonicalize(tree)
 
 
 def derivation_from_dict(data: dict) -> Derivation:

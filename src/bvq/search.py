@@ -26,9 +26,9 @@ from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    Step, _remove_children, _rewrite, apply_instance, breadth_first,
-    check_derivation, derivation_to_dict, enumerate_instances, premise_key,
-    replay, same_occurrences, seq_number, start_derivation,
+    Step, _remove_children, apply_instance, breadth_first, check_derivation,
+    derivation_to_dict, enumerate_instances, replay, same_occurrences,
+    seq_number, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
@@ -98,15 +98,17 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     the premise of the instance applied to the parent structure (the
     start is ``(start, None, live ids)``), and the live ids are the
     sorted ids of the environment atoms it still holds.  A state's
-    structure is built (``_state_structure``) only when the search
-    expands the state or returns it on the path; every successor is
-    keyed without being built, and most are dropped as already visited.
+    structure is built only when the search expands the state or returns
+    it on the path.  Every successor is keyed from the parent rewritten
+    at its instance, the tree ``enumerate_instances`` yields with it,
+    which is congruent to the premise and carries the same ids; most
+    successors are then dropped as already visited without being built.
     No rule creates an occurrence, and only an interaction deletes any,
     so an interaction successor's live ids are its parent's minus the
     consumed pair and every other successor keeps its parent's.
 
-    The key is the canonical key of the structure (``premise_key``) and
-    the live ids.  States that differ
+    The key is the canonical key of the structure and the live ids.
+    States that differ
     only in which of two twin occurrences the environment still owns
     have different futures; a twin is an atom outside the live set with
     the name (base and polarity) of a live one.  So the key must split
@@ -129,16 +131,14 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
 
     Whether states are keyed with marks is therefore decided once, from
     the start: exactly when the start has twins.  Such a judgment keys
-    the parent rewritten at the instance (``calculus._rewrite``), which
-    is congruent to the premise and carries the same ids, so it builds
-    no premise to key it either.  It marks the atoms of the judgment's
-    ``env_ids``, not of the state's live ids, and the two are the same
-    atoms: no rule creates an occurrence, and an environment atom leaves
-    the live set only when an interaction deletes it, so the environment
-    atoms a state holds are exactly its live ones.  Marking every state
-    by the one ``env_ids`` object lets it reuse the marked views cached
-    on the subterms it shares with its parent, so keying a successor
-    walks its rebuilt path alone.
+    the rewritten tree with ``marked_key``.  It marks the atoms of the
+    judgment's ``env_ids``, not of the state's live ids, and the two are
+    the same atoms: no rule creates an occurrence, and an environment
+    atom leaves the live set only when an interaction deletes it, so the
+    environment atoms a state holds are exactly its live ones.  Marking
+    every state by the one ``env_ids`` object lets it reuse the marked
+    views cached on the subterms it shares with its parent, so keying a
+    successor walks its rebuilt path alone.
     """
     if fragment not in ("down", "standard"):
         raise SearchError("fragment must be 'down' or 'standard'")
@@ -149,55 +149,31 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     marked = any(a.name in live_names for a in iter_atoms(start)
                  if a.uid not in env_ids)
 
-    # the parent rewritten at each instance ``enumerate_instances`` keyed
-    # in the last expansion, by ``id`` of the instance (an entry holds its
-    # instance, so no other object takes that id), so that a marked key
-    # rewrites no parent again; no instance keeps its rewrite
-    rewrites: Optional[dict] = {} if marked else None
-
-    def key(state) -> tuple[str, tuple[int, ...]]:
-        parent, inst, live = state
+    def key(s: Structure, live: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         if marked and live:
-            if inst is None:
-                return marked_key(parent, env_ids), live
-            hit = rewrites.pop(id(inst), None)
-            s = hit[1] if hit is not None else _rewrite(parent, inst)
             return marked_key(s, env_ids), live
-        if inst is None:
-            return canonical_key(parent), live
-        return premise_key(parent, inst), live
+        return canonical_key(s), live
 
     def successors(state):
-        s = _state_structure(state)
-        live = state[2]
-        if rewrites:
-            rewrites.clear()
-        for inst in enumerate_instances(s, _SEARCH_RULES, rewrites):
-            if inst.rule != AI_DOWN:
-                yield inst, (s, inst, live)
-                continue
-            if fragment == "standard":
-                if seq_number(s, inst.path) != 0:
-                    continue
-                inst = replace(inst, rule=AI_DOWN_LEFT)
-            yield inst, (s, inst,
-                         tuple(u for u in live if u not in inst.consumed_ids))
+        parent, inst, live = state
+        s = parent if inst is None else apply_instance(parent, inst)
+        for inst, tree in enumerate_instances(s, _SEARCH_RULES):
+            after = live
+            if inst.rule == AI_DOWN:
+                if fragment == "standard":
+                    if seq_number(s, inst.path) != 0:
+                        continue
+                    inst = replace(inst, rule=AI_DOWN_LEFT)
+                after = tuple(u for u in live if u not in inst.consumed_ids)
+            yield inst, (s, inst, after), key(tree, after)
 
+    live = tuple(sorted(env_ids & uid_set(start)))
     path, stopped_by, steps, visited = breadth_first(
-        (start, None, tuple(sorted(env_ids & uid_set(start)))), key,
-        successors, lambda k: k[0] == want and not k[1],
-        budget.max_steps, budget.max_visited)
+        (start, None, live), key(start, live), successors,
+        lambda k: k[0] == want and not k[1], budget.max_steps, budget.max_visited)
     d = None if path is None else Derivation(
-        start, tuple(Step(inst, _state_structure(st)) for inst, st in path))
+        start, tuple(Step(inst, apply_instance(st[0], inst)) for inst, st in path))
     return SearchOutcome(d, stopped_by, steps, visited)
-
-
-def _state_structure(state: tuple) -> Structure:
-    """The structure of a search state ``(parent, instance, ...)``: the
-    premise of the instance applied to the parent, or the parent itself
-    when there is no instance (the start)."""
-    parent, inst = state[0], state[1]
-    return parent if inst is None else apply_instance(parent, inst)
 
 
 def prove(goal: Structure, fragment: str = "down",
@@ -598,21 +574,6 @@ def _interaction_recipe(x: Structure, nx: Structure, embed) -> list[RecipeEntry]
     raise SearchError("cannot build an interaction proof for this shape")
 
 
-def _interaction_proof(x: Structure) -> Derivation:
-    """A proof of ``[x; negate(x)]`` for a canonical ``x`` without ids:
-    the interaction recursion's recipe, replayed into a checked
-    derivation.  Raises ``SearchError`` when a step of the recipe does
-    not replay (a binder-order case of ``u_down``).  No search is tried
-    then: on every such target measured, ``prove`` found no proof of the
-    goal either."""
-    goal = canonicalize(mk_par([x, negate(x)]))
-    recipe = _interaction_recipe(x, canonicalize(negate(x)), lambda h: h)
-    proof = replay(start_derivation(goal), recipe)
-    if proof is None:
-        raise SearchError("the target's interaction proof does not replay")
-    return proof
-
-
 def _compose_proof(standard: Derivation, f_struct: Structure) -> Derivation:
     """Extend a standard derivation of ``[<e>; R]`` from ``<f>`` into a
     proof of ``[<e>; negate(<f>); R]`` by annihilating the target against
@@ -634,13 +595,13 @@ def _compose_proof(standard: Derivation, f_struct: Structure) -> Derivation:
                    beside)
     if lower is None:
         raise SearchError("could not replay a step in context")
-    inter = _interaction_proof(f_struct)
-    if canonical_key(inter.conclusion) != canonical_key(lower.premise):
-        raise SearchError("replay target is not congruent to the conclusion")
-    proof = replay(lower, [(st.rule, canonical_key(st.result), None)
-                           for st in inter.steps])
+    # then the target against its negation, replayed on ``lower``'s
+    # premise, which is congruent to ``[f; nf]``.  No search is tried
+    # when a step does not replay (a binder-order case of ``u_down``): on
+    # every such target measured, ``prove`` found no proof either
+    proof = replay(lower, _interaction_recipe(f_struct, nf, lambda h: h))
     if proof is None:
-        raise SearchError("could not replay the assembled derivation")
+        raise SearchError("the target's interaction proof does not replay")
     return proof
 
 

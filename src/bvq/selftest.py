@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 
 from .calculus import (
-    AI_DOWN, Derivation, Q_DOWN, RecipeEntry, U_DOWN, apply_instance,
-    check_derivation, enumerate_instances, extend, replay, start_derivation,
+    AI_DOWN, Derivation, Q_DOWN, RecipeEntry, U_DOWN, check_derivation,
+    enumerate_instances, extend, replay, start_derivation,
 )
 from .ccsr import (
     Name, PNu, PPar, PPrefix, Process, ZERO, enumerate_reachable,
@@ -179,13 +179,12 @@ def random_trivial_derivation(rng: random.Random, start: Structure,
     only moves that keep the premise a process structure are taken."""
     d = start_derivation(start)
     for _ in range(max_steps):
-        insts = enumerate_instances(d.premise, frozenset({Q_DOWN, U_DOWN}))
+        pairs = list(enumerate_instances(d.premise, frozenset({Q_DOWN, U_DOWN})))
         if keep_process_premise:
-            insts = [i for i in insts if classify_structure(
-                apply_instance(d.premise, i)).is_process]
-        if not insts:
+            pairs = [p for p in pairs if classify_structure(p[1]).is_process]
+        if not pairs:
             break
-        d = extend(d, rng.choice(insts))
+        d = extend(d, rng.choice(pairs)[0])
     return d
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Derivation, DerivationError,
     RuleInstance, Step, apply_instance, breadth_first, check_derivation,
-    enumerate_instances, premise_key, seq_number,
+    enumerate_instances, seq_number,
 )
 from .structures import Structure, canonical_key, is_tensor_free, uid_set
 
@@ -81,7 +81,8 @@ def _window_search(bottom: Structure, top: Structure,
     up to ``top``, visiting at most ``_WINDOW_VISITED`` states (a
     structure, its depth, and whether the rule that made it was blocked).
     A state keeps its parent and its instance (``_WindowState``) and is
-    keyed by ``premise_key``, which builds no premise, and its ids, the
+    keyed by the canonical key of the parent rewritten at the instance
+    (the tree ``enumerate_instances`` yields with it) and by its ids, the
     parent's minus the ids the instance consumes; its structure is built
     only when the state is expanded or returned.
     Only the last rule may be a blocked interaction: a state it makes is
@@ -118,11 +119,6 @@ def _window_search(bottom: Structure, top: Structure,
     target_ids = uid_set(top)
     dead = uid_set(bottom) - target_ids
 
-    def key(state: _WindowState):
-        parent, inst, ids, _, blocked = state
-        pk = canonical_key(parent) if inst is None else premise_key(parent, inst)
-        return pk, ids, blocked
-
     for bound in range(len(dead) // 2, _WINDOW_DEPTH + 1):
         def successors(state: _WindowState):
             parent, inst, ids, depth, dirty = state
@@ -131,7 +127,7 @@ def _window_search(bottom: Structure, top: Structure,
             cur = parent if inst is None else apply_instance(parent, inst)
             owed = len(ids & dead) // 2
             rules = _WINDOW_RULES if depth + owed < bound else _AI_ONLY
-            for inst in enumerate_instances(cur, rules):
+            for inst, tree in enumerate_instances(cur, rules):
                 if inst.rule == AI_DOWN:
                     if not inst.consumed_ids <= dead:
                         continue
@@ -140,10 +136,13 @@ def _window_search(bottom: Structure, top: Structure,
                     if touched and relevant.isdisjoint(touched):
                         continue
                 blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
-                yield inst, (cur, inst, ids - inst.consumed_ids, depth + 1, blocked)
+                after = ids - inst.consumed_ids
+                yield (inst, (cur, inst, after, depth + 1, blocked),
+                       (canonical_key(tree), after, blocked))
 
         path, stopped_by, _, _ = breadth_first(
-            (bottom, None, uid_set(bottom), 0, False), key, successors,
+            (bottom, None, uid_set(bottom), 0, False),
+            (canonical_key(bottom), uid_set(bottom), False), successors,
             lambda k: k[0] == target and k[1] == target_ids,
             math.inf, _WINDOW_VISITED)
         if path is not None:

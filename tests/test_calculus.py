@@ -10,7 +10,7 @@ from bvq.calculus import (
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
     check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
-    premise_key, replay, start_derivation,
+    replay, start_derivation,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
@@ -23,9 +23,13 @@ def structure(text):
     return canonicalize(parse_structure(text))
 
 
+def instances(s, fragment=DOWN_FRAGMENT):
+    return [inst for inst, _ in enumerate_instances(s, fragment)]
+
+
 def find_instance(s, rule, premise_text):
     want = canonical_key(parse_structure(premise_text))
-    for inst in enumerate_instances(s, frozenset({rule})):
+    for inst, _ in enumerate_instances(s, frozenset({rule})):
         if canonical_key(apply_instance(s, inst)) == want:
             return inst
     return None
@@ -38,7 +42,7 @@ def test_q_down_internal_communication_instance():
 
 def test_ai_down_root_instance():
     s = structure("[a;~a]")
-    insts = enumerate_instances(s, frozenset({AI_DOWN}))
+    insts = instances(s, frozenset({AI_DOWN}))
     assert len(insts) == 1
     assert canonical_key(apply_instance(s, insts[0])) == "1"
 
@@ -62,7 +66,7 @@ def test_switch_instance():
 def _internal_comm_derivation():
     d = start_derivation(parse_structure("[<a;e>;<~a;f>]"))
     d = extend(d, find_instance(d.premise, Q_DOWN, "<[a;~a];[e;f]>"))
-    d = extend(d, enumerate_instances(d.premise, frozenset({AI_DOWN}))[0])
+    d = extend(d, instances(d.premise, frozenset({AI_DOWN}))[0])
     return d
 
 
@@ -108,7 +112,7 @@ def test_instance_size_accounting():
         hosts.extend(d.structures())
     rules_seen = set()
     for s in hosts:
-        for inst in enumerate_instances(s):
+        for inst, _ in enumerate_instances(s):
             rules_seen.add(inst.rule)
             got = apply_instance(s, inst)
             if inst.rule in (AI_DOWN, AI_DOWN_LEFT):
@@ -124,7 +128,7 @@ def test_every_instance_yields_checking_step():
     for _ in range(10):
         d = random_proof(rng, max_atoms=8, max_steps=4)
         s = d.conclusion
-        for inst in enumerate_instances(s)[:20]:
+        for inst in instances(s)[:20]:
             one = extend(Derivation(s), inst)
             assert check_derivation(one)
 
@@ -175,17 +179,29 @@ def test_replaying_a_proofs_own_recipe_rebuilds_it(seed):
     assert replay(Derivation(d.conclusion), [(rule, key, ids | {-7})]) is None
 
 
+_RULE_ORDER = {AI_DOWN: 0, Q_DOWN: 1, U_DOWN: 2, SWITCH: 3}
+
+
+def _state_order(inst):
+    """The order the enumeration once sorted all instances of a state by:
+    rule, path, consumed keys, replacement key, consumed occurrence ids."""
+    return (_RULE_ORDER[inst.rule], inst.path,
+            tuple(map(canonical_key, inst.consumed)),
+            canonical_key(inst.replacement), inst.consumed_uids())
+
+
 def test_enumeration_is_deterministic():
     s = structure("[<a;b>;<~a;~b>;fo c.c]")
-    first = [i.sort_key() for i in enumerate_instances(s)]
-    second = [i.sort_key() for i in enumerate_instances(s)]
+    first = [_state_order(i) for i in instances(s)]
+    second = [_state_order(i) for i in instances(s)]
     assert first == second == sorted(first)
 
 
 def _reference_instances(s):
     """Reference enumeration over ordered pairs, with no symmetry pruned:
-    every non-interaction instance is applied, and no-ops and duplicates
-    are dropped only after canonicalizing."""
+    every non-interaction instance is applied, no-ops and duplicates are
+    dropped only after canonicalizing, and all instances of the state are
+    sorted at once."""
     out, seen = [], set()
     root_key = canonical_key(s)
     for path, node in calculus._par_nodes(s):
@@ -230,7 +246,7 @@ def _reference_instances(s):
                 continue
             seen.add(dedup)
             out.append(inst)
-    out.sort(key=RuleInstance.sort_key)
+    out.sort(key=_state_order)
     return out
 
 
@@ -261,8 +277,12 @@ def test_enumeration_equals_the_ordered_pair_reference(raw, numbered):
     s = canonicalize(raw)
     if numbered:
         s, _ = assign_ids(s)
-    assert [_described(i) for i in enumerate_instances(s)] == \
+    pairs = list(enumerate_instances(s))
+    assert [_described(i) for i, _ in pairs] == \
         [_described(i) for i in _reference_instances(s)]
+    # each instance comes with the state rewritten at it
+    assert all(print_structure(tree) == print_structure(calculus._rewrite(s, i))
+               for i, tree in pairs)
 
 
 @pytest.mark.parametrize("text, calls", [
@@ -271,24 +291,30 @@ def test_enumeration_equals_the_ordered_pair_reference(raw, numbered):
     ("[fo a.<a;b>;fo a.<~a;c>;d]", 9),         # 28
 ])
 def test_enumeration_applies_only_instances_it_keeps(monkeypatch, text, calls):
-    # the filters read premise keys, so no premise is built to key it,
-    # with or without a quantifier
-    applied, keyed = [], []
+    # the filters key the rewritten trees, so no premise is built or
+    # canonicalized to key it, with or without a quantifier
+    applied, rewritten, canonicalized = [], [], []
+    rewrite = calculus._rewrite
 
     def counting_apply(s, inst):
         applied.append(inst)
         return apply_instance(s, inst)
 
-    def counting_key(s, inst, *rewrites):
-        keyed.append(inst)
-        return premise_key(s, inst, *rewrites)
+    def counting_rewrite(s, inst):
+        rewritten.append(inst)
+        return rewrite(s, inst)
+
+    def counting_canonicalize(s):
+        canonicalized.append(s)
+        return canonicalize(s)
 
     monkeypatch.setattr(calculus, "apply_instance", counting_apply)
-    monkeypatch.setattr(calculus, "premise_key", counting_key)
-    kept = enumerate_instances(structure(text))
+    monkeypatch.setattr(calculus, "_rewrite", counting_rewrite)
+    monkeypatch.setattr(calculus, "canonicalize", counting_canonicalize)
+    kept = instances(structure(text))
     assert {id(i) for i in applied} <= {id(i) for i in kept}
-    assert len(keyed) == len(kept) == calls
-    assert applied == []
+    assert len(rewritten) == len(kept) == calls
+    assert applied == [] and canonicalized == []
 
 
 def test_json_roundtrip():
@@ -338,17 +364,17 @@ def test_json_read_back_backtracks_over_identical_atoms():
 
 def test_fragment_restriction():
     with pytest.raises(Exception):
-        enumerate_instances(structure("[a;~a]"), frozenset({"ai_up"}))
+        list(enumerate_instances(structure("[a;~a]"), frozenset({"ai_up"})))
     assert frozenset({AI_DOWN, AI_DOWN_LEFT, SWITCH, Q_DOWN, U_DOWN}) == DOWN_FRAGMENT
 
 
 def test_breadth_first_goal_test_and_budgets():
     # n -> 2n, 2n+1 below 4: breadth-first order 1, 2, 3, 4, 5, 6, 7
     def succ(n):
-        return [("2n", 2 * n), ("2n+1", 2 * n + 1)] if n < 4 else []
+        return [("2n", 2 * n, 2 * n), ("2n+1", 2 * n + 1, 2 * n + 1)] if n < 4 else []
 
     def run(goal, max_steps=100, max_visited=100):
-        return breadth_first(1, lambda n: n, succ, lambda k: k == goal,
+        return breadth_first(1, 1, succ, lambda k: k == goal,
                              max_steps, max_visited)
 
     assert run(1) == ([], "goal", 0, 1)

@@ -19,7 +19,7 @@ from bvq.ccsr import (
     is_simple_process, parse_actions, parse_process, print_process,
     process_congruent, process_key,
 )
-from bvq.calculus import _rewrite, apply_instance, enumerate_instances, premise_key
+from bvq.calculus import _rewrite, apply_instance, enumerate_instances
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
     assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
@@ -357,14 +357,14 @@ def test_canonical_key_agrees_with_the_reference_key(s):
 
 @settings(max_examples=150, deadline=None)
 @given(structures, st.sampled_from(["raw", "canonical", "numbered"]))
-def test_premise_key_is_the_key_of_the_applied_premise(s, form):
+def test_each_yielded_tree_keys_as_the_applied_premise(s, form):
     if form != "raw":
         s = canonicalize(s)
     if form == "numbered":
         s, _ = assign_ids(s)
-    for inst in enumerate_instances(s):
+    for inst, tree in enumerate_instances(s):
         want = canonical_key(canonicalize(_rewrite(s, inst)))
-        assert premise_key(s, inst) == want
+        assert canonical_key(tree) == want
         assert canonical_key(apply_instance(s, inst)) == want
 
 
@@ -441,9 +441,9 @@ def _check_reach_keys(e, f, alpha) -> list:
     """Decide ``e -> f with alpha`` recording every state each search
     keys and the key it takes; check each state's carried live ids
     against a walk of its structure, built as the search builds it
-    (``search._state_structure``), and that the keys split the states
-    as the always-marked key does.  Returns the ``(structure,
-    environment ids)`` pair of every recorded state."""
+    (the premise of its instance applied to its parent), and that the
+    keys split the states as the always-marked key does.  Returns the
+    ``(structure, environment ids)`` pair of every recorded state."""
     calls = []  # (environment ids, [(state, key), ...]) per search
     real_bfs, real_search = search.breadth_first, search._search
 
@@ -451,14 +451,15 @@ def _check_reach_keys(e, f, alpha) -> list:
         calls.append((env_ids, []))
         return real_search(start, fragment, budget, goal_key, env_ids)
 
-    def recording_bfs(start, key, *rest):
+    def recording_bfs(start, start_key, successors, *rest):
         seen = calls[-1][1]
+        seen.append((start, start_key))
 
         def keyed(state):
-            k = key(state)
-            seen.append((state, k))
-            return k
-        return real_bfs(start, keyed, *rest)
+            for edge, nxt, k in successors(state):
+                seen.append((nxt, k))
+                yield edge, nxt, k
+        return real_bfs(start, start_key, keyed, *rest)
 
     search.breadth_first, search._search = recording_bfs, recording_search
     try:
@@ -470,7 +471,8 @@ def _check_reach_keys(e, f, alpha) -> list:
     for env_ids, seen in calls:
         pairs = set()
         for state, k in seen:
-            s, live = search._state_structure(state), state[-1]
+            parent, inst, live = state
+            s = parent if inst is None else apply_instance(parent, inst)
             assert live == tuple(sorted(env_ids & uid_set(s)))
             pairs.add((k, _marked_key(s, env_ids)))
             structures.append((s, env_ids))

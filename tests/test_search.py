@@ -63,6 +63,30 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
     assert 0 < len(applied) <= out.visited
 
 
+def test_prove_stops_generating_instances_at_its_step_budget(monkeypatch):
+    # the start state's q_down instances come before its 16,002 switch
+    # instances; a 1-step budget runs out before any switch is generated
+    # (all of them were, keyed and sorted, when every instance of a state
+    # was enumerated before the first was used)
+    n = 7
+    heads = ";".join(f"<a{i};b{i}>" for i in range(n))
+    tails = ";".join(f"<~a{i};~b{i}>" for i in range(n))
+    generated = {}
+    node_instances = calculus._node_instances
+
+    def counting(node, path, fragment):
+        for inst in node_instances(node, path, fragment):
+            generated[inst.rule] = generated.get(inst.rule, 0) + 1
+            yield inst
+
+    monkeypatch.setattr(calculus, "_node_instances", counting)
+    out = prove(parse_structure(f"[{heads};({tails})]"),
+                budget=SearchBudget(max_steps=1, max_visited=100))
+    assert (out.stopped_by, out.steps, out.visited) == ("steps", 2, 2)
+    assert generated.get("q_down", 0) > 0
+    assert generated.get("switch", 0) == 0
+
+
 def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
         monkeypatch):
     # the start has twins, so each successor is keyed by the marked key

@@ -54,7 +54,7 @@ def test_seq_number_counts():
 
 
 def _ai_step(d, blocked=None):
-    insts = enumerate_instances(d.premise, frozenset({AI_DOWN}))
+    insts = [i for i, _ in enumerate_instances(d.premise, frozenset({AI_DOWN}))]
     if blocked is not None:
         insts = [i for i in insts
                  if (seq_number(d.premise, i.path) > 0) == blocked]
@@ -70,7 +70,7 @@ def test_is_standard_tracing_example():
 def test_is_standard_rejects_blocked_interaction():
     # an interaction in the right slot of <[a;~a]; _> is not standard
     d = start_derivation(parse_structure("<[a;~a];[b;~b]>"))
-    insts = enumerate_instances(d.premise, frozenset({AI_DOWN}))
+    insts = [i for i, _ in enumerate_instances(d.premise, frozenset({AI_DOWN}))]
     blocked = [i for i in insts if i.consumed[0].name.base == "b"]
     d = extend(d, blocked[0])
     assert check_derivation(d)
@@ -148,7 +148,7 @@ def _reference_window(bottom, top, max_depth, relevant, loose, max_visited):
         cur, depth, dirty = state
         if dirty or depth >= max_depth:
             return
-        for inst in enumerate_instances(cur, {AI_DOWN, Q_DOWN, U_DOWN}):
+        for inst, _ in enumerate_instances(cur, {AI_DOWN, Q_DOWN, U_DOWN}):
             if inst.rule == AI_DOWN:
                 if not inst.consumed_ids <= dead:
                     continue
@@ -159,12 +159,16 @@ def _reference_window(bottom, top, max_depth, relevant, loose, max_visited):
             blocked = inst.rule == AI_DOWN and seq_number(cur, inst.path) > 0
             if blocked and not loose:
                 continue
-            yield inst, (apply_instance(cur, inst), depth + 1, blocked)
+            nxt = (apply_instance(cur, inst), depth + 1, blocked)
+            yield inst, nxt, key(nxt)
 
+    def key(state):
+        return canonical_key(state[0]), uid_set(state[0]), state[2]
+
+    start = (bottom, 0, False)
     path = breadth_first(
-        (bottom, 0, False),
-        lambda st: (canonical_key(st[0]), uid_set(st[0]), st[2]),
-        successors, lambda k: k[0] == target and k[1] == target_ids,
+        start, key(start), successors,
+        lambda k: k[0] == target and k[1] == target_ids,
         math.inf, max_visited)[0]
     return None if path is None else [Step(inst, st[0]) for inst, st in path]
 
