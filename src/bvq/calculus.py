@@ -136,6 +136,45 @@ def same_occurrences(a: Structure, b: Structure) -> bool:
     return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
 
 
+def atom_balance(s: Structure) -> dict[Optional[str], int]:
+    """For each free atom base of ``s``, its positive minus its negative
+    occurrences, and under the key None, which no base takes, the same
+    count over all bound occurrences together; zero counts are left out.
+
+    No down rule changes the balance, so the conclusion and the premise
+    of any derivation have equal balances:
+
+    * ``q_down``, ``u_down`` and ``switch`` only regroup atoms;
+    * ``ai_down`` and ``ai_down_left`` delete an ``a`` and an ``~a`` that
+      are children of one Par node, so both are free or both are bound
+      by the same binder: of one class, whose count does not change;
+    * canonicalization removes only units and vacuous binders, and
+      renames only bound names;
+    * no occurrence changes class: ``u_down`` refuses a capture, and
+      binder names avoid every free base.
+
+    A structure whose balance is not the goal's therefore has no
+    derivation from the goal; a provable one has the unit's, empty,
+    balance."""
+    bal: dict[Optional[str], int] = {}
+
+    def walk(t: Structure, bound: frozenset[str]) -> None:
+        if isinstance(t, Atom):
+            k = None if t.name.base in bound else t.name.base
+            bal[k] = bal.get(k, 0) + (1 if t.name.positive else -1)
+        elif isinstance(t, Sdq):
+            walk(t.body, bound | {t.binder.base})
+        elif isinstance(t, (Seq, Par, CoPar)):
+            for p in t.parts:
+                walk(p, bound)
+
+    try:
+        walk(s, frozenset())
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
+    return {k: n for k, n in bal.items() if n}
+
+
 # ---------------------------------------------------------------------------
 # instance enumeration
 # ---------------------------------------------------------------------------
@@ -298,14 +337,21 @@ def enumerate_instances(s: Structure, fragment: Iterable[str] = DOWN_FRAGMENT
 
 def _remove_children(parts: tuple[Structure, ...], consumed: tuple[Structure, ...]
                      ) -> Optional[list[Structure]]:
+    """``parts`` without the ``consumed`` children: each the very object
+    when it is there, as it is for every instance ``enumerate_instances``
+    makes, else the first child with the same occurrences."""
     rest = list(parts)
     for want in consumed:
         for i, c in enumerate(rest):
-            if c is want or same_occurrences(c, want):
-                del rest[i]
+            if c is want:
                 break
         else:
-            return None
+            for i, c in enumerate(rest):
+                if same_occurrences(c, want):
+                    break
+            else:
+                return None
+        del rest[i]
     return rest
 
 

@@ -69,6 +69,7 @@ def _strip_timings(payload: dict) -> dict:
     stats = payload.get("stats")
     if isinstance(stats, dict):
         stats.pop("elapsed_ms", None)
+        stats.pop("stoppedBy", None)
     return payload
 
 
@@ -326,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("actions")
     p.add_argument("--timings", action="store_true",
-                   help="include elapsed time in the JSON stats")
+                   help="include elapsed time and the stop reason "
+                   "in the JSON stats")
     common(p, budget=True)
     p.set_defaults(fn=cmd_reach)
 

@@ -26,9 +26,9 @@ from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    Step, _remove_children, apply_instance, breadth_first, check_derivation,
-    derivation_to_dict, enumerate_instances, replay, same_occurrences,
-    seq_number, start_derivation,
+    Step, _remove_children, apply_instance, atom_balance, breadth_first,
+    check_derivation, derivation_to_dict, enumerate_instances, replay,
+    same_occurrences, seq_number, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
@@ -70,7 +70,7 @@ DEFAULT_BUDGET = SearchBudget()
 @dataclass(slots=True)
 class SearchOutcome:
     derivation: Optional[Derivation]
-    stopped_by: str  # "goal", "steps", "visited" or "closed"
+    stopped_by: str  # "goal", "steps", "visited", "closed" or "refuted"
     steps: int
     visited: int
 
@@ -80,7 +80,7 @@ class SearchOutcome:
 
     @property
     def exhausted(self) -> bool:
-        """Stopped by a budget, not by a goal or a closed state space."""
+        """Stopped by a budget, not by a goal or a decided negative."""
         return self.stopped_by in ("steps", "visited")
 
 
@@ -88,11 +88,13 @@ _SEARCH_RULES = frozenset({AI_DOWN, Q_DOWN, U_DOWN, SWITCH})
 
 
 def _search(start: Structure, fragment: str, budget: SearchBudget,
-            goal_key: Optional[str], env_ids: frozenset[int] = frozenset()
+            goal: Structure, env_ids: frozenset[int] = frozenset()
             ) -> SearchOutcome:
     """Breadth-first bottom-up closure from a canonical annotated start.
-    The goal is any state matching ``goal_key`` (the unit when None)
-    whose tracked environment atoms have all been consumed.
+    The goal is any state congruent to ``goal`` whose tracked environment
+    atoms have all been consumed.  A goal whose atom balance is not the
+    start's is refuted before any state is generated: no derivation
+    changes the balance (``calculus.atom_balance``).
 
     A search state is ``(parent, instance, live ids)``: the structure is
     the premise of the instance applied to the parent structure (the
@@ -144,7 +146,11 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         raise SearchError("fragment must be 'down' or 'standard'")
     if fragment == "standard" and not is_tensor_free(start):
         raise SearchError("the standard fragment handles Tensor-free goals only")
-    want = goal_key if goal_key is not None else "1"
+    if atom_balance(start) != atom_balance(goal):
+        # one state, the start, as ``breadth_first`` counts a start that
+        # is the goal
+        return SearchOutcome(None, "refuted", 0, 1)
+    want = canonical_key(goal)
     live_names = {a.name for a in iter_atoms(start) if a.uid in env_ids}
     marked = any(a.name in live_names for a in iter_atoms(start)
                  if a.uid not in env_ids)
@@ -180,14 +186,14 @@ def prove(goal: Structure, fragment: str = "down",
           budget: SearchBudget = DEFAULT_BUDGET) -> SearchOutcome:
     """Search a cut-free proof: a derivation whose premise is the unit."""
     start = start_derivation(goal).conclusion
-    return _search(start, fragment, budget, None)
+    return _search(start, fragment, budget, ONE)
 
 
 def derive(conclusion: Structure, premise: Structure, fragment: str = "down",
            budget: SearchBudget = DEFAULT_BUDGET) -> SearchOutcome:
     """Search a derivation of ``conclusion`` from ``premise``."""
     start = start_derivation(conclusion).conclusion
-    return _search(start, fragment, budget, canonical_key(premise))
+    return _search(start, fragment, budget, premise)
 
 
 def consumes(d: Derivation, env_ids: Iterable[int]) -> bool:
@@ -505,10 +511,12 @@ class ReachStats:
     steps: int = 0
     visited: int = 0
     elapsed_ms: float = 0.0
+    stopped_by: str = "goal"            # as in ``SearchOutcome``
 
     def as_dict(self) -> dict:
         return {"steps": self.steps, "visited": self.visited,
-                "elapsed_ms": round(self.elapsed_ms, 3)}
+                "elapsed_ms": round(self.elapsed_ms, 3),
+                "stoppedBy": self.stopped_by}
 
 
 @dataclass(slots=True)
@@ -517,7 +525,6 @@ class ReachVerdict:
     proof: Optional[Derivation] = None
     standard: Optional[Derivation] = None
     witness: Optional[LtsNode] = None
-    stopped_by: str = "goal"            # as in ``SearchOutcome``
     stats: ReachStats = field(default_factory=ReachStats)
 
     @property
@@ -525,8 +532,12 @@ class ReachVerdict:
         return self.status == "proved"
 
     @property
+    def stopped_by(self) -> str:
+        return self.stats.stopped_by
+
+    @property
     def exhausted(self) -> bool:
-        """Stopped by a budget, not by a goal or a closed state space."""
+        """Stopped by a budget, not by a goal or a decided negative."""
         return self.stopped_by in ("steps", "visited")
 
 
@@ -624,10 +635,11 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
     f_struct = canonicalize(to_structure(f))
     concl, _ = assign_ids(canonicalize(mk_par([e_struct, env])))
     env_ids = _locate_env_ids(concl, env)
-    out = _search(concl, "standard", budget, canonical_key(f_struct), env_ids)
-    stats = ReachStats(out.steps, out.visited, (time.perf_counter() - t0) * 1000)
+    out = _search(concl, "standard", budget, f_struct, env_ids)
+    stats = ReachStats(out.steps, out.visited, (time.perf_counter() - t0) * 1000,
+                       out.stopped_by)
     if not out.found:
-        return ReachVerdict("not_found", stopped_by=out.stopped_by, stats=stats)
+        return ReachVerdict("not_found", stats=stats)
     standard = out.derivation
     proof = _compose_proof(standard, f_struct)
     witness = extract_lts(standard, e, f, env_ids)

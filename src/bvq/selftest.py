@@ -21,12 +21,12 @@ from .ccsr import (
     is_simple_process, lts_reachable, print_actions, print_process,
     process_key,
 )
-from .bridge import classify_structure
+from .bridge import classify_structure, to_structure
 from .search import SearchBudget, DEFAULT_BUDGET, reach
 from .standardize import is_standard, standardize
 from .structures import (
     Atom, ONE, Par, Sdq, Seq, Structure, canonical_key, canonicalize,
-    free_bases, mk_par, mk_seq, replace_at, size, subterm_at,
+    free_bases, iter_atoms, mk_par, mk_seq, replace_at, size, subterm_at,
 )
 
 _BASES = ["a", "b", "c", "d", "e"]
@@ -198,12 +198,15 @@ class OracleReport:
     judgments: int = 0
     positives: int = 0
     negatives: int = 0
+    refuted: int = 0
     completeness_failures: list[str] = field(default_factory=list)
     soundness_failures: list[str] = field(default_factory=list)
+    refutation_failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.completeness_failures and not self.soundness_failures
+        return not (self.completeness_failures or self.soundness_failures
+                    or self.refutation_failures)
 
 
 def compare_with_oracle(rng: random.Random, processes: int = 500,
@@ -213,8 +216,22 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
     """Cross-check reach against the transition-system oracle.
 
     Every (target, labels) pair the oracle finds must be proved, and a
-    sample of pairs the oracle rejects must come back not-found."""
+    sample of pairs the oracle rejects must come back not-found.  Every
+    judgment the search refutes by atom balance must be unreachable for
+    the oracle at a depth of the number of prefixes of the process: each
+    transition fires at least one prefix, so that depth decides it."""
     report = OracleReport()
+
+    def check_refuted(e, f, alpha, v) -> None:
+        if v.stopped_by != "refuted":
+            return
+        report.refuted += 1
+        prefixes = sum(1 for _ in iter_atoms(to_structure(e)))
+        if lts_reachable(e, f, alpha, prefixes) is not None:
+            report.refutation_failures.append(
+                f"{print_process(e)} -> {print_process(f)} "
+                f"with {print_actions(alpha)}")
+
     for _ in range(processes):
         e = random_process(rng, max_size)
         report.processes += 1
@@ -235,6 +252,7 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
             report.judgments += 1
             report.positives += 1
             v = reach(e, f, alpha, budget)
+            check_refuted(e, f, alpha, v)
             if not v.proved:
                 report.completeness_failures.append(
                     f"{print_process(e)} -> {print_process(f)} "
@@ -250,6 +268,7 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
             report.judgments += 1
             report.negatives += 1
             v = reach(e, f, alpha, budget)
+            check_refuted(e, f, alpha, v)
             if v.proved:
                 confirm = lts_reachable(e, f, alpha,
                                         max(depth, 2 * len(v.standard.steps) + 2))
@@ -279,10 +298,13 @@ def run_selftest(seed: int = 0, processes: int = 40, depth: int = 5,
     report = compare_with_oracle(rng, processes=processes, depth=depth)
     lines.append(
         f"oracle: {report.processes} processes, {report.judgments} judgments "
-        f"({report.positives} positive, {report.negatives} negative), "
+        f"({report.positives} positive, {report.negatives} negative, "
+        f"{report.refuted} refuted), "
         f"{len(report.completeness_failures)} completeness failures, "
-        f"{len(report.soundness_failures)} soundness failures")
-    for msg in report.completeness_failures[:5] + report.soundness_failures[:5]:
+        f"{len(report.soundness_failures)} soundness failures, "
+        f"{len(report.refutation_failures)} refutation failures")
+    for msg in (report.completeness_failures[:5] + report.soundness_failures[:5]
+                + report.refutation_failures[:5]):
         lines.append(f"  failure: {msg}")
     ok &= report.ok
     lines.append("selftest: " + ("PASS" if ok else "FAIL"))

@@ -110,8 +110,10 @@ def test_criterion_6_oracle_equivalence():
             f"{report.judgments} judgments, "
             f"{len(report.completeness_failures)} completeness failures, "
             f"{len(report.soundness_failures)} soundness failures, "
+            f"{len(report.refutation_failures)} refutation failures, "
             f"{elapsed:.0f} s")
-    for msg in report.completeness_failures + report.soundness_failures:
+    for msg in (report.completeness_failures + report.soundness_failures
+                + report.refutation_failures):
         print("   disagreement:", msg)
 
 
@@ -192,4 +194,5 @@ def test_criterion_8_negative_proof_search():
     ok = (not a.found and not a.exhausted and
           not b.found and not b.exhausted)
     _report("criterion 8: negative proof search", ok,
-            f"closed after {a.visited} and {b.visited} states")
+            f"{a.stopped_by} after {a.visited} states, "
+            f"{b.stopped_by} after {b.visited}")

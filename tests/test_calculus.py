@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
-    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, breadth_first,
-    check_derivation, check_derivation_detail, derivation_from_dict,
+    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, atom_balance,
+    breadth_first, check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
     replay, start_derivation,
 )
@@ -384,3 +384,27 @@ def test_breadth_first_goal_test_and_budgets():
     assert run(6, max_visited=4) == (None, "visited", 4, 5)
     # a goal is returned when generated, before the visited bound is checked
     assert run(5, max_visited=4) == ([("2n", 2), ("2n+1", 5)], "goal", 4, 5)
+
+
+def test_atom_balance_counts_free_bases_and_bound_occurrences_apart():
+    assert atom_balance(ONE) == {}
+    assert atom_balance(parse_structure("[a;~a;<b;b>]")) == {"b": 2}
+    # bound occurrences of every binder share the key None
+    s = parse_structure("[fo a.[a;b]; ~a; fo c.<~c;~c>; fo b.[b;b]]")
+    assert atom_balance(s) == {None: 1, "a": -1, "b": 1}
+    # a vacuous binder binds nothing
+    assert atom_balance(parse_structure("fo a.~b")) == {"b": -1}
+
+
+def test_remove_children_takes_the_very_object_before_a_congruent_one(
+        monkeypatch):
+    first, second = Atom(Name("a")), Atom(Name("a"))
+    # congruent and without ids, the two have the same occurrences
+    monkeypatch.setattr(calculus, "same_occurrences", lambda a, b: False)
+    rest = calculus._remove_children((first, second), (second,))
+    assert len(rest) == 1 and rest[0] is first
+    monkeypatch.undo()
+    # an absent object is matched by its occurrences
+    rest = calculus._remove_children((first, second), (Atom(Name("a")),))
+    assert len(rest) == 1 and rest[0] is second
+    assert calculus._remove_children((first,), (Atom(Name("b")),)) is None

@@ -88,6 +88,20 @@ def test_reach_json_pipes_into_check(capsys, tmp_path):
     assert code == 0
 
 
+def test_reach_reports_why_it_stopped_only_under_timings(capsys):
+    argv = ("reach", "a.a.0", "0", "a", "--json")
+    code, out, _ = run(capsys, *argv)
+    stats = json.loads(out)["stats"]
+    assert code == 1 and stats == {"steps": 0, "visited": 1}
+    code, out, _ = run(capsys, *argv, "--timings")
+    stats = json.loads(out)["stats"]
+    assert code == 1 and stats["stoppedBy"] == "refuted"
+    code, out, _ = run(capsys, *argv[:-1])
+    assert code == 1 and out == "not found (state space closed)\n"
+    code, out, _ = run(capsys, "reach", "a.0", "0", "a", "--json", "--timings")
+    assert code == 0 and json.loads(out)["stats"]["stoppedBy"] == "goal"
+
+
 def test_check_rejects_tampered_derivation(capsys, tmp_path):
     code, out, _ = run(capsys, "prove", "[a;~a]", "--json")
     payload = json.loads(out)["derivation"]

@@ -8,10 +8,13 @@ with the transition-system oracle; the standard derivation and the
 transition-system witness of a proved judgment are then read back from
 its output and checked again, and so is the composed proof, whose
 conclusion must be ``[<E>; ~<F>; R]`` for the environment ``R`` of the
-judgment and whose premise must be the unit.  The search's ``stats.steps`` and ``stats.visited`` of each sampled
-reach operation are pinned.  Reach outputs are not compared by digest,
-because part of the reach references predate printing Par components in
-structure-key order."""
+judgment and whose premise must be the unit.  The search's
+``stats.steps`` and ``stats.visited`` of each sampled reach operation
+are pinned, and so is which of them the search refutes by atom balance;
+a refuted one is run again with the refutation patched out, so the
+closure it bypasses stays pinned too.  Reach outputs are not compared by
+digest, because part of the reach references predate printing Par
+components in structure-key order."""
 
 import json
 import os
@@ -19,6 +22,7 @@ import sys
 
 import pytest
 
+from bvq import search
 from bvq.bridge import actions_to_env, to_structure
 from bvq.calculus import check_derivation, derivation_from_dict
 from bvq.ccsr import (
@@ -39,8 +43,9 @@ import ops  # noqa: E402
 SAMPLED = [(w, op) for w in ("prove_closure", "standardize_battery")
            for op in corpus.load(w)["ops"][::20]]
 REACH = corpus.load("reach_oracle")["ops"][::20]
-# stats.steps and stats.visited of each sampled reach operation, by id:
-# a change to the state space the search explores changes these
+# stats.steps and stats.visited of each sampled reach operation, by id,
+# when the search is run: a change to the state space the search
+# explores changes these
 REACH_STATS = {
     0: (0, 1), 20: (497, 140), 40: (511, 142), 60: (0, 1), 80: (3, 4),
     100: (0, 1), 120: (4194, 822), 140: (0, 1), 160: (0, 1), 180: (0, 1),
@@ -60,6 +65,15 @@ REACH_STATS = {
     1437: (893, 260), 1457: (0, 1), 1477: (9, 7), 1497: (0, 1), 1517: (7, 7),
     1537: (126, 48), 1557: (1457, 338), 1577: (0, 1), 1597: (495, 140),
 }
+# the sampled operations whose goal's atom balance is not the start's:
+# the search refutes them at (0, 1) before generating a state, and their
+# REACH_STATS entries are those of the search with the refutation patched
+# out, which closes the state space without a derivation
+REFUTED = {
+    40, 60, 80, 100, 140, 180, 200, 220, 280, 360, 400, 420, 440, 460,
+    600, 620, 660, 727, 873, 913, 953, 973, 1017, 1077, 1097, 1117,
+    1157, 1177, 1197, 1217, 1257, 1277, 1357, 1477, 1497, 1557, 1577,
+}
 
 
 @pytest.mark.parametrize("op", [op for _, op in SAMPLED],
@@ -70,14 +84,26 @@ def test_output_matches_frozen_reference(op):
     assert ops.output_digest(res.out) == op["ref"]
 
 
-@pytest.mark.parametrize("op", REACH, ids=[f"reach_oracle-{op['id']}" for op in REACH])
-def test_reach_verdict_and_certificates_check(op):
-    res = ops.execute(op)
+def _run_reach(op: dict) -> dict:
+    """Run and check the operation with ``--timings``, which adds the
+    search's stop reason to its stats; returns the output."""
+    res = ops.execute(dict(op, argv=[*op["argv"], "--timings"]))
     assert ops.check("reach_oracle", op, res) is None
-    payload = json.loads(res.out)
+    return json.loads(res.out)
+
+
+@pytest.mark.parametrize("op", REACH, ids=[f"reach_oracle-{op['id']}" for op in REACH])
+def test_reach_verdict_and_certificates_check(op, monkeypatch):
+    payload = _run_reach(op)
     stats = payload["stats"]
+    assert (stats["stoppedBy"] == "refuted") == (op["id"] in REFUTED)
+    if op["id"] in REFUTED:
+        assert (stats["steps"], stats["visited"]) == (0, 1)
+        monkeypatch.setattr(search, "atom_balance", lambda s: {})
+        stats = _run_reach(op)["stats"]
+        assert stats["stoppedBy"] == "closed"
     assert (stats["steps"], stats["visited"]) == REACH_STATS[op["id"]]
-    if res.rc != 0:
+    if payload["status"] != "proved":
         return
     _, e_t, f_t, a_t, *_ = op["argv"]
     e, f, alpha = parse_process(e_t), parse_process(f_t), parse_actions(a_t)

@@ -1,8 +1,8 @@
 """Property tests for congruence, which processes share with structures
 through the bridge image, for the canonicalization kernel against a
 reference copy, for the key read from flattened views, for the marked
-key and the reach search key, and for the scanner both grammars
-share."""
+key and the reach search key, for the atom balance the search refutes
+by, and for the scanner both grammars share."""
 
 import math
 import random
@@ -16,10 +16,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bvq import search
 from bvq.ccsr import (
     PNu, PPar, PPrefix, ProcessError, ZERO, enumerate_reachable,
-    is_simple_process, parse_actions, parse_process, print_process,
-    process_congruent, process_key,
+    is_simple_process, lts_reachable, parse_actions, parse_process,
+    print_process, process_congruent, process_key,
 )
-from bvq.calculus import _rewrite, apply_instance, enumerate_instances
+from bvq.calculus import (
+    _rewrite, apply_instance, atom_balance, enumerate_instances,
+)
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
     assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
@@ -442,14 +444,17 @@ def _check_reach_keys(e, f, alpha) -> list:
     keys and the key it takes; check each state's carried live ids
     against a walk of its structure, built as the search builds it
     (the premise of its instance applied to its parent), and that the
-    keys split the states as the always-marked key does.  Returns the
-    ``(structure, environment ids)`` pair of every recorded state."""
+    keys split the states as the always-marked key does.  The
+    refutation by atom balance is patched out, so an unbalanced judgment
+    is searched too.  Returns the ``(structure, environment ids)`` pair
+    of every recorded state."""
     calls = []  # (environment ids, [(state, key), ...]) per search
     real_bfs, real_search = search.breadth_first, search._search
+    real_balance = search.atom_balance
 
-    def recording_search(start, fragment, budget, goal_key, env_ids=frozenset()):
+    def recording_search(start, fragment, budget, goal, env_ids=frozenset()):
         calls.append((env_ids, []))
-        return real_search(start, fragment, budget, goal_key, env_ids)
+        return real_search(start, fragment, budget, goal, env_ids)
 
     def recording_bfs(start, start_key, successors, *rest):
         seen = calls[-1][1]
@@ -462,10 +467,12 @@ def _check_reach_keys(e, f, alpha) -> list:
         return real_bfs(start, start_key, keyed, *rest)
 
     search.breadth_first, search._search = recording_bfs, recording_search
+    search.atom_balance = lambda s: {}
     try:
         search.reach(e, f, alpha, search.SearchBudget(3000, 1500))
     finally:
         search.breadth_first, search._search = real_bfs, real_search
+        search.atom_balance = real_balance
     assert calls and calls[0][1]
     structures = []  # (structure, environment ids) per keyed state
     for env_ids, seen in calls:
@@ -500,3 +507,40 @@ def test_reach_key_on_a_judgment_with_twin_states():
     states = _check_reach_keys(parse_process("~e.e.~a.0"), parse_process("~a.0"),
                                parse_actions("~e;e;~a"))
     assert any(_has_twins(s, env_ids) for s, env_ids in states)
+
+
+# ---------------------------------------------------------------------------
+# the atom balance
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(structures)
+@example(parse_structure("[fo a.[a;~a;b]; fo a.<~a;c>; fo b.(b;~b); ~b; a]"))
+@example(parse_structure("[(a;~b); fo a.[~a;<a;b>]; fo a.~a; [b;~b]]"))
+def test_every_rule_instance_keeps_the_atom_balance(s):
+    want = atom_balance(s)
+    s = canonicalize(s)
+    assert atom_balance(s) == want
+    for _, tree in enumerate_instances(s):
+        assert atom_balance(canonicalize(tree)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(processes, st.data())
+@example(parse_process("a.a.0"), None)
+def test_a_refuted_judgment_is_unreachable_for_the_oracle(e, data):
+    if data is None:  # the explicit example: one label short
+        f, alpha = ZERO, parse_actions("a")
+    else:
+        reached = [(ZERO, parse_actions("tau"))] + [
+            (g, a) for g, a, _ in enumerate_reachable(e, 2) if is_simple_process(g)]
+        f, alpha = data.draw(st.sampled_from(reached))
+        alpha = data.draw(st.one_of(
+            st.just(alpha), st.lists(names, min_size=1, max_size=3).map(tuple)))
+    # a budget of one step: a judgment the balance does not refute stops
+    # at once, and one it refutes is refuted before any step
+    v = search.reach(e, f, alpha, search.SearchBudget(1, 1))
+    if v.stopped_by == "refuted":
+        assert not v.proved and (v.stats.steps, v.stats.visited) == (0, 1)
+        depth = len(_labels(e))  # each transition fires a prefix
+        assert lts_reachable(e, f, alpha, depth) is None

@@ -14,12 +14,12 @@ from bvq.calculus import (
     derivation_length, start_derivation,
 )
 from bvq.ccsr import (
-    check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
+    ZERO, check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
     parse_process, print_actions, print_process, process_congruent,
 )
 from bvq.search import (
-    ExtractionError, SearchBudget, SearchError, consumes, derive, extract_lts,
-    prove, reach, reduce, verdict_to_dict,
+    ExtractionError, ReachStats, ReachVerdict, SearchBudget, SearchError,
+    consumes, derive, extract_lts, prove, reach, reduce, verdict_to_dict,
 )
 from bvq.selftest import random_process
 from bvq.standardize import is_standard
@@ -87,6 +87,37 @@ def test_prove_stops_generating_instances_at_its_step_budget(monkeypatch):
     assert generated.get("switch", 0) == 0
 
 
+def test_unbalanced_goals_are_refuted_before_searching():
+    # every interaction deletes an a and a ~a, and no other rule deletes
+    # an atom, so a goal whose atom balance is not the start's has no
+    # derivation: it is refuted with no step and one state, the start
+    for goal in ["[a;a]", "[<a;b>;<~b;~c>]", "[fo a.a; ~a]"]:
+        out = prove(parse_structure(goal))
+        assert (out.stopped_by, out.steps, out.visited) == ("refuted", 0, 1)
+        assert not out.found and not out.exhausted
+    out = derive(parse_structure("[a;~a;b]"), parse_structure("c"))
+    assert (out.stopped_by, out.steps, out.visited) == ("refuted", 0, 1)
+    # balanced negatives are searched as before and close their space
+    out = prove(parse_structure("[<a;b>;<~b;~a>]"))
+    assert out.stopped_by == "closed" and out.steps > 0
+    v = reach(parse_process("~e.e.~a.0"), parse_process("~a.0"),
+              parse_actions("e;~e"))
+    assert v.stopped_by == "closed" and v.stats.steps > 0
+
+
+def test_seven_prefixes_against_six_labels_are_refuted_at_once():
+    # the search ran out of this budget (of the default one too, after
+    # about 18 s) before the judgment was refuted by its atom balance
+    e = parse_process("a." * 7 + "0")
+    alpha = parse_actions(";".join(["a"] * 6))
+    t0 = time.perf_counter()
+    v = reach(e, ZERO, alpha, SearchBudget(2000, 1000))
+    assert v.stopped_by == "refuted" and not v.proved and not v.exhausted
+    assert (v.stats.steps, v.stats.visited) == (0, 1)
+    assert reach(e, ZERO, alpha).stopped_by == "refuted"
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
         monkeypatch):
     # the start has twins, so each successor is keyed by the marked key
@@ -94,7 +125,8 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     # cached on the subterms it shares with its parent.  No state is
     # built only to key it (639 applications when every state was built
     # and marked), and no marked copy is made (499 when every successor
-    # was keyed by one)
+    # was keyed by one).  The judgment is unbalanced, so the refutation
+    # by atom balance is patched out for the search to run
     applied, mapped, searching = [], [], []
 
     def counting(s, inst):
@@ -120,6 +152,7 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     monkeypatch.setattr(structures, "map_atoms", counting_map)
     monkeypatch.setattr(search, "map_atoms", counting_map)
     monkeypatch.setattr(search, "_search", tracked_search)
+    monkeypatch.setattr(search, "atom_balance", lambda s: {})
     v = reach(parse_process("~e.e.~a.0"), parse_process("~a.0"),
               parse_actions("~e;e;~a"))
     assert not v.proved
@@ -518,6 +551,22 @@ def _oracle_judgments(hash_seed: str) -> list:
     out = subprocess.run([sys.executable, "-c", _ORACLE_SAMPLE], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     return json.loads(out.stdout)
+
+
+def test_oracle_comparison_reports_a_refutation_the_oracle_rejects(
+        monkeypatch):
+    from bvq import selftest
+
+    def refute(e, f, alpha, budget):
+        return ReachVerdict("not_found", stats=ReachStats(stopped_by="refuted"))
+
+    monkeypatch.setattr(selftest, "reach", refute)
+    report = selftest.compare_with_oracle(random.Random(6), processes=3, depth=4)
+    # every positive the oracle found is refuted: each is a completeness
+    # failure and a refutation the oracle disagrees with
+    assert report.positives > 0 and report.refuted == report.judgments
+    assert len(report.refutation_failures) == report.positives
+    assert not report.ok
 
 
 def test_oracle_negatives_do_not_depend_on_hash_seed():
