@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .structures import (
     _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
@@ -173,6 +173,84 @@ def atom_balance(s: Structure) -> dict[Optional[str], int]:
     except RecursionError:
         raise StructureError(_TOO_DEEP) from None
     return {k: n for k, n in bal.items() if n}
+
+
+def pairable(s: Structure, must: Optional[Container[int]] = None) -> bool:
+    """Whether the atoms of ``s`` whose ids are in ``must`` (every atom
+    when ``must`` is None) can all be matched to distinct complementary
+    atoms they are Par-related to: of the class ``atom_balance`` counts
+    them in and of the other polarity, with a Par as their lowest common
+    bracket.
+
+    No down rule makes two atoms Par-related going up, so an atom can
+    only ever interact with an atom it is Par-related to now:
+
+    * ``q_down`` turns ``[<R;T>;<U;V>]`` into ``<[R;U];[T;V]>``, moving
+      R-V and T-U from Par into Seq; ``switch`` turns ``[(R;T);U]``
+      into ``([R;U];T)``, moving T-U from Par into CoPar; every other
+      pair keeps its relation, as under ``u_down``;
+    * canonicalization only flattens brackets, removes units and
+      vacuous binders, and renames and reorders binders;
+    * an interaction deletes two atoms that are children of one Par.
+
+    The interactions a derivation makes from ``s`` form a matching of
+    such pairs, and classes never change (``atom_balance``).  So when no
+    matching covers ``must``, no derivation from ``s`` deletes every
+    atom of ``must``.  The graph is bipartite, positives against
+    negatives; a matching covering the positives of ``must`` and one
+    covering its negatives make one covering both (Mendelsohn-Dulmage),
+    so two one-sided augmenting-path (Kuhn) searches decide it."""
+    cls: list[Optional[str]] = []          # class of each atom, by index
+    adj: list[list[int]] = []              # complementary Par-related atoms
+    pos: list[bool] = []
+    wanted: list[int] = []
+
+    def walk(t: Structure, bound: frozenset[str]) -> list[int]:
+        if isinstance(t, Atom):
+            i = len(cls)
+            cls.append(None if t.name.base in bound else t.name.base)
+            pos.append(t.name.positive)
+            adj.append([])
+            if must is None or t.uid in must:
+                wanted.append(i)
+            return [i]
+        if isinstance(t, Sdq):
+            return walk(t.body, bound | {t.binder.base})
+        if not isinstance(t, (Seq, Par, CoPar)):
+            return []
+        below: list[int] = []
+        for p in t.parts:
+            got = walk(p, bound)
+            if isinstance(t, Par):
+                for i in got:
+                    for j in below:
+                        if cls[i] == cls[j] and pos[i] != pos[j]:
+                            adj[i].append(j)
+                            adj[j].append(i)
+            below += got
+        return below
+
+    try:
+        walk(s, frozenset())
+    except RecursionError:
+        raise StructureError(_TOO_DEEP) from None
+
+    def covers(side: list[int]) -> bool:
+        mate: dict[int, int] = {}
+
+        def augment(i: int, seen: set[int]) -> bool:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    if j not in mate or augment(mate[j], seen):
+                        mate[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in side)
+
+    return covers([i for i in wanted if pos[i]]) and \
+        covers([i for i in wanted if not pos[i]])
 
 
 # ---------------------------------------------------------------------------

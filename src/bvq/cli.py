@@ -70,6 +70,7 @@ def _strip_timings(payload: dict) -> dict:
     if isinstance(stats, dict):
         stats.pop("elapsed_ms", None)
         stats.pop("stoppedBy", None)
+        stats.pop("pruned", None)
     return payload
 
 
@@ -327,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("actions")
     p.add_argument("--timings", action="store_true",
-                   help="include elapsed time and the stop reason "
-                   "in the JSON stats")
+                   help="include elapsed time, the stop reason and the "
+                   "count of pruned states in the JSON stats")
     common(p, budget=True)
     p.set_defaults(fn=cmd_reach)
 

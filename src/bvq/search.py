@@ -27,8 +27,8 @@ from typing import Iterable, Optional
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
     Step, _remove_children, apply_instance, atom_balance, breadth_first,
-    check_derivation, derivation_to_dict, enumerate_instances, replay,
-    same_occurrences, seq_number, start_derivation,
+    check_derivation, derivation_to_dict, enumerate_instances, pairable,
+    replay, same_occurrences, seq_number, start_derivation,
 )
 from .ccsr import (
     LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
@@ -73,6 +73,7 @@ class SearchOutcome:
     stopped_by: str  # "goal", "steps", "visited", "closed" or "refuted"
     steps: int
     visited: int
+    pruned: int = 0  # states not expanded because they are not pairable
 
     @property
     def found(self) -> bool:
@@ -95,6 +96,17 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     atoms have all been consumed.  A goal whose atom balance is not the
     start's is refuted before any state is generated: no derivation
     changes the balance (``calculus.atom_balance``).
+
+    A state is not expanded when the atoms it must still lose cannot all
+    pair (``calculus.pairable``): every atom when the goal is the unit,
+    else the live environment atoms (none for ``derive``, which is
+    therefore not pruned).  Such a state, like every state it
+    generates, has no derivation to the goal, so every state that
+    reaches the goal is still generated by the same first parent, in
+    the same order.  The first goal found and its path do not change;
+    only ``steps`` and ``visited`` shrink, and a search that ran out of
+    a budget may now finish.  A pruned state is keyed and counted as
+    visited when its parent generates it, and ``pruned`` counts it.
 
     A search state is ``(parent, instance, live ids)``: the structure is
     the premise of the instance applied to the parent structure (the
@@ -151,6 +163,7 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         # is the goal
         return SearchOutcome(None, "refuted", 0, 1)
     want = canonical_key(goal)
+    every = want == "1"
     live_names = {a.name for a in iter_atoms(start) if a.uid in env_ids}
     marked = any(a.name in live_names for a in iter_atoms(start)
                  if a.uid not in env_ids)
@@ -160,9 +173,15 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
             return marked_key(s, env_ids), live
         return canonical_key(s), live
 
+    pruned = 0
+
     def successors(state):
+        nonlocal pruned
         parent, inst, live = state
         s = parent if inst is None else apply_instance(parent, inst)
+        if (every or live) and not pairable(s, None if every else live):
+            pruned += 1
+            return
         for inst, tree in enumerate_instances(s, _SEARCH_RULES):
             after = live
             if inst.rule == AI_DOWN:
@@ -179,7 +198,7 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         lambda k: k[0] == want and not k[1], budget.max_steps, budget.max_visited)
     d = None if path is None else Derivation(
         start, tuple(Step(inst, apply_instance(st[0], inst)) for inst, st in path))
-    return SearchOutcome(d, stopped_by, steps, visited)
+    return SearchOutcome(d, stopped_by, steps, visited, pruned)
 
 
 def prove(goal: Structure, fragment: str = "down",
@@ -512,11 +531,12 @@ class ReachStats:
     visited: int = 0
     elapsed_ms: float = 0.0
     stopped_by: str = "goal"            # as in ``SearchOutcome``
+    pruned: int = 0                     # as in ``SearchOutcome``
 
     def as_dict(self) -> dict:
         return {"steps": self.steps, "visited": self.visited,
                 "elapsed_ms": round(self.elapsed_ms, 3),
-                "stoppedBy": self.stopped_by}
+                "stoppedBy": self.stopped_by, "pruned": self.pruned}
 
 
 @dataclass(slots=True)
@@ -637,7 +657,7 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
     env_ids = _locate_env_ids(concl, env)
     out = _search(concl, "standard", budget, f_struct, env_ids)
     stats = ReachStats(out.steps, out.visited, (time.perf_counter() - t0) * 1000,
-                       out.stopped_by)
+                       out.stopped_by, out.pruned)
     if not out.found:
         return ReachVerdict("not_found", stats=stats)
     standard = out.derivation

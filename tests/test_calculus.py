@@ -8,7 +8,7 @@ from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance, atom_balance,
-    breadth_first, check_derivation, check_derivation_detail, derivation_from_dict,
+    breadth_first, pairable, check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
     replay, start_derivation,
 )
@@ -394,6 +394,45 @@ def test_atom_balance_counts_free_bases_and_bound_occurrences_apart():
     assert atom_balance(s) == {None: 1, "a": -1, "b": 1}
     # a vacuous binder binds nothing
     assert atom_balance(parse_structure("fo a.~b")) == {"b": -1}
+
+
+def numbered(text):
+    """``text`` parsed as written, its atoms numbered left to right."""
+    return assign_ids(parse_structure(text))[0]
+
+
+def test_pairable_needs_par_related_complements():
+    assert pairable(numbered("[a;~a]"))
+    assert pairable(numbered("[<a;b>;<~a;~b>]"))
+    # Seq- and CoPar-related complements never interact
+    assert not pairable(numbered("<a;~a>"))
+    assert not pairable(numbered("(a;~a)"))
+    assert not pairable(numbered("[<a;b>;<~a;~b>;<c;~c>]"))
+    # every atom needs a partner of its own: two a's cannot share one ~a,
+    # and one a cannot serve two ~a's
+    assert not pairable(numbered("[<a;a>;~a]"))
+    assert not pairable(numbered("[a;~a;~a]"))
+    # the second a pairs only with the first ~a, which the first a must
+    # then leave for it: a matching, not a greedy choice
+    assert pairable(numbered("[a;~a;<a;~a>]"))
+    assert pairable(ONE)
+
+
+def test_pairable_puts_bound_atoms_of_every_binder_in_one_class():
+    # u_down may merge the two binders, so their atoms may still meet
+    assert pairable(numbered("[fo a.a; fo b.~b]"))
+    assert pairable(numbered("fo a.[a; fo b.~b]"))
+    assert not pairable(numbered("fo a.<a; fo b.~b>"))
+    # a bound atom never pairs with a free one of the same base
+    assert not pairable(numbered("[fo a.a; ~a]"))
+
+
+def test_pairable_asks_only_the_given_atoms_to_pair():
+    # ~a(0) a(1) in Seq, beside a twin a(2): only a(2) can meet ~a(0)
+    s = numbered("[<~a;a>; a]")
+    assert not pairable(s)
+    assert pairable(s, {2}) and pairable(s, {0, 2}) and pairable(s, ())
+    assert not pairable(s, {1}) and not pairable(s, {1, 2})
 
 
 def test_remove_children_takes_the_very_object_before_a_congruent_one(

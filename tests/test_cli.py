@@ -100,6 +100,12 @@ def test_reach_reports_why_it_stopped_only_under_timings(capsys):
     assert code == 1 and out == "not found (state space closed)\n"
     code, out, _ = run(capsys, "reach", "a.0", "0", "a", "--json", "--timings")
     assert code == 0 and json.loads(out)["stats"]["stoppedBy"] == "goal"
+    # so is the count of states not expanded because they cannot pair
+    argv = ("reach", "x.y.0", "0", "x;y", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["stats"] == {"steps": 13, "visited": 14}
+    code, out, _ = run(capsys, *argv, "--timings")
+    assert code == 0 and json.loads(out)["stats"]["pruned"] == 6
 
 
 def test_check_rejects_tampered_derivation(capsys, tmp_path):

@@ -2,13 +2,15 @@
 through the bridge image, for the canonicalization kernel against a
 reference copy, for the key read from flattened views, for the marked
 key and the reach search key, for the atom balance the search refutes
-by, and for the scanner both grammars share."""
+by, for the Par relation the search prunes by, and for the scanner both
+grammars share."""
 
 import math
 import random
 import re
 from itertools import permutations
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,11 +23,13 @@ from bvq.ccsr import (
 )
 from bvq.calculus import (
     _rewrite, apply_instance, atom_balance, enumerate_instances,
+    format_derivation,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
     assign_ids, canonical_key, canonicalize, congruent, iter_atoms,
-    map_atoms, marked_key, negate, parse_structure, print_structure, uid_set,
+    map_atoms, marked_key, mk_par, negate, parse_structure, print_structure,
+    uid_set,
 )
 from bvq.bridge import to_structure
 
@@ -544,3 +548,100 @@ def test_a_refuted_judgment_is_unreachable_for_the_oracle(e, data):
         assert not v.proved and (v.stats.steps, v.stats.visited) == (0, 1)
         depth = len(_labels(e))  # each transition fires a prefix
         assert lts_reachable(e, f, alpha, depth) is None
+
+
+# ---------------------------------------------------------------------------
+# the Par relation and the pruning of unpairable states
+# ---------------------------------------------------------------------------
+
+def _par_pairs(s) -> set:
+    """The pairs of atom ids whose lowest common bracket is a Par."""
+    pairs: set = set()
+
+    def walk(t) -> list:
+        if isinstance(t, Atom):
+            return [t.uid]
+        if isinstance(t, Sdq):
+            return walk(t.body)
+        if isinstance(t, One):
+            return []
+        below: list = []
+        for p in t.parts:
+            got = walk(p)
+            if isinstance(t, Par):
+                pairs.update(frozenset((u, v)) for u in got for v in below)
+            below += got
+        return below
+
+    walk(s)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures)
+@example(parse_structure("[<a;b>;<~a;~b>;(c;[d;~c])]"))
+@example(parse_structure("[fo a.<a;b>; fo b.(b;~a); <~b;a>]"))
+def test_no_rule_instance_makes_two_atoms_par_related(s):
+    s, _ = assign_ids(canonicalize(s))
+    before = _par_pairs(s)
+    for _, tree in enumerate_instances(s):
+        assert _par_pairs(canonicalize(tree)) <= before
+
+
+def _unpruned(run):
+    """``run()`` with every state pairable: the search prunes nothing."""
+    with mock.patch.object(search, "pairable", lambda s, must=None: True):
+        return run()
+
+
+_PRUNE_BUDGET = search.SearchBudget(4000, 1500)
+small_structures = st.recursive(
+    st.builds(Atom, names),
+    lambda sub: st.one_of(st.builds(Seq, _parts(sub)), st.builds(Par, _parts(sub)),
+                          st.builds(CoPar, _parts(sub)),
+                          st.builds(Sdq, st.builds(Name, st.sampled_from(BASES)), sub)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures, small_structures.map(lambda s: mk_par([s, negate(s)])),
+                 st.tuples(small_structures, small_structures).map(
+                     lambda p: mk_par([p[0], negate(p[1])]))))
+@example(parse_structure("[<a;b>;<~b;~a>]"))
+@example(parse_structure("[fo a.<a;b>; fo b.[~a;~b]]"))
+def test_pruning_keeps_every_proof_search_certificate(goal):
+    out = search.prove(goal, budget=_PRUNE_BUDGET)
+    ref = _unpruned(lambda: search.prove(goal, budget=_PRUNE_BUDGET))
+    assert out.steps <= ref.steps and out.visited <= ref.visited
+    if out.exhausted or ref.exhausted:
+        return
+    assert out.stopped_by == ref.stopped_by
+    assert out.found == ref.found
+    if out.found:
+        assert format_derivation(out.derivation) == format_derivation(ref.derivation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(processes, st.data())
+@example(parse_process("a.~b.0|c.0"), None)
+def test_pruning_keeps_every_reach_certificate(e, data):
+    if data is None:  # the explicit example: a target that keeps atoms
+        f, alpha = parse_process("~b.0|c.0"), parse_actions("a")
+    else:
+        # judgments that observe labels, when there are any: the others
+        # have no environment atoms to prune by
+        reached = [(g, a) for g, a, _ in enumerate_reachable(e, 3)
+                   if is_simple_process(g) and a] or [(ZERO, parse_actions("tau"))]
+        f, alpha = data.draw(st.sampled_from(reached))
+        # the labels in another order: balanced, and often unreachable
+        alpha = tuple(data.draw(st.permutations(alpha)))
+    v = search.reach(e, f, alpha, _PRUNE_BUDGET)
+    ref = _unpruned(lambda: search.reach(e, f, alpha, _PRUNE_BUDGET))
+    assert v.stats.steps <= ref.stats.steps and v.stats.visited <= ref.stats.visited
+    if v.exhausted or ref.exhausted:
+        return
+    assert (v.status, v.stopped_by) == (ref.status, ref.stopped_by)
+    got, want = search.verdict_to_dict(v), search.verdict_to_dict(ref)
+    del got["stats"], want["stats"]
+    assert got == want

@@ -49,7 +49,9 @@ def test_prove_budget_exhaustion_reported():
 def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
     # successors are keyed from their parent and instance; a state is
     # built only to expand it (16,242 applications, for 1,485 states,
-    # when every successor was built)
+    # when every successor was built).  The start is not pairable (c and
+    # ~c are Seq-related), so the pruning is patched out for the search
+    # to run
     applied = []
 
     def counting(s, inst):
@@ -58,9 +60,44 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
 
     monkeypatch.setattr(calculus, "apply_instance", counting)
     monkeypatch.setattr(search, "apply_instance", counting)
+    monkeypatch.setattr(search, "pairable", lambda s, must=None: True)
     out = prove(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"))
-    assert not out.found and not out.exhausted
+    assert not out.found and not out.exhausted and out.pruned == 0
     assert 0 < len(applied) <= out.visited
+
+
+def test_states_whose_atoms_cannot_pair_are_not_expanded():
+    # c and ~c are Seq-related in the start, and no rule makes them
+    # Par-related going up: the start is not expanded, and the space of
+    # 1,485 states closes at once
+    out = prove(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"))
+    assert (out.stopped_by, out.steps, out.visited, out.pruned) == (
+        "closed", 0, 1, 1)
+    # a derivation to a premise other than the unit owes no atom, so it
+    # is not pruned: the same space is searched until the premise is met
+    out = derive(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"),
+                 parse_structure("<c;~c>"))
+    assert out.found and out.pruned == 0
+    # a balanced negative: seven of its eight states are not expanded
+    out = prove(parse_structure("[<a;b>;<~b;~a>]"))
+    assert (out.stopped_by, out.steps, out.visited, out.pruned) == (
+        "closed", 7, 8, 7)
+
+
+@pytest.mark.parametrize("e_t, alpha_t", [
+    (".".join(f"x{i}" for i in range(6)) + ".0",
+     ";".join(f"x{i}" for i in range(6))),
+    ("a." * 7 + "0", ";".join(["a"] * 7)),
+])
+def test_long_prefix_chains_are_proved_within_the_default_budget(e_t, alpha_t):
+    # the 6-prefix chain ran out of the default steps budget after about
+    # 14 s before states that cannot consume the environment were pruned,
+    # and `a.`x7 ran out of it after about 16 s
+    t0 = time.perf_counter()
+    v = reach(parse_process(e_t), ZERO, parse_actions(alpha_t))
+    assert v.proved and v.stats.pruned > 0
+    assert check_derivation(v.proof) and check_lts_derivation(v.witness)
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_prove_stops_generating_instances_at_its_step_budget(monkeypatch):
@@ -126,7 +163,8 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     # built only to key it (639 applications when every state was built
     # and marked), and no marked copy is made (499 when every successor
     # was keyed by one).  The judgment is unbalanced, so the refutation
-    # by atom balance is patched out for the search to run
+    # by atom balance is patched out for the search to run; the counts are
+    # pinned with and without the pruning of unpairable states
     applied, mapped, searching = [], [], []
 
     def counting(s, inst):
@@ -153,10 +191,17 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     monkeypatch.setattr(search, "map_atoms", counting_map)
     monkeypatch.setattr(search, "_search", tracked_search)
     monkeypatch.setattr(search, "atom_balance", lambda s: {})
-    v = reach(parse_process("~e.e.~a.0"), parse_process("~a.0"),
-              parse_actions("~e;e;~a"))
+    judgment = (parse_process("~e.e.~a.0"), parse_process("~a.0"),
+                parse_actions("~e;e;~a"))
+    v = reach(*judgment)
     assert not v.proved
-    assert (v.stats.steps, v.stats.visited) == (499, 142)
+    assert (v.stats.steps, v.stats.visited, v.stats.pruned) == (55, 54, 46)
+    assert 0 < len(applied) <= v.stats.visited
+    monkeypatch.setattr(search, "pairable", lambda s, must=None: True)
+    applied.clear()
+    v = reach(*judgment)
+    assert not v.proved
+    assert (v.stats.steps, v.stats.visited, v.stats.pruned) == (499, 142, 0)
     assert 0 < len(applied) <= v.stats.visited
     assert not mapped
 
@@ -489,22 +534,29 @@ def test_reach_with_structured_target():
     assert check_lts_derivation(v.witness)
 
 
-def test_reach_with_twin_occurrences_of_the_observed_label():
+def test_reach_with_twin_occurrences_of_the_observed_label(monkeypatch):
     # the process keeps its own copy of the observed label; only the
     # environment occurrence may be consumed.  Such judgments key their
     # states with the live atoms marked (``marked_key``); the search
-    # counts are those of marking every state.
+    # counts are those of marking every state, pruned and then with the
+    # pruning of unpairable states patched out, which finds the same
+    # derivation
     cases = [
-        ("x.~b.0|b.0", "b.0", "x;~b", 536, 204),
-        ("a.0|~a.~d.0", "a.0|~d.0", "~a", 53, 40),
-        ("b.0|(x.~b.0|b.0)", "b.0|b.0", "x;~b", 1779, 785),
+        ("x.~b.0|b.0", "b.0", "x;~b", (178, 140), (536, 204)),
+        ("a.0|~a.~d.0", "a.0|~d.0", "~a", (35, 32), (53, 40)),
+        ("b.0|(x.~b.0|b.0)", "b.0|b.0", "x;~b", (955, 621), (1779, 785)),
     ]
-    for e_t, f_t, a_t, steps, visited in cases:
+    for e_t, f_t, a_t, pruned, unpruned in cases:
         e, f, alpha = parse_process(e_t), parse_process(f_t), parse_actions(a_t)
         assert lts_reachable(e, f, alpha, 6) is not None
         v = reach(e, f, alpha)
         assert v.proved, (e_t, f_t, a_t)
-        assert (v.stats.steps, v.stats.visited) == (steps, visited)
+        assert (v.stats.steps, v.stats.visited) == pruned
+        with monkeypatch.context() as m:
+            m.setattr(search, "pairable", lambda s, must=None: True)
+            w = reach(e, f, alpha)
+        assert (w.stats.steps, w.stats.visited) == unpruned
+        assert verdict_to_dict(w)["proof"] == verdict_to_dict(v)["proof"]
 
 
 def test_reach_agrees_with_oracle_spot_checks():

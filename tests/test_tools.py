@@ -28,7 +28,9 @@ def _copy_src(tmp_path) -> None:
 def test_corpus_diff_of_a_tree_against_itself_reports_no_difference():
     out = _corpus_diff(ROOT)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "6 ops compared, 0 differ"
+    lines = out.stdout.splitlines()
+    assert lines[-2] == "6 ops compared, 0 differ"
+    assert lines[-1].startswith("total prove_closure: ")
 
 
 def test_corpus_diff_runs_every_workload_of_repeated_flags():
@@ -36,7 +38,10 @@ def test_corpus_diff_runs_every_workload_of_repeated_flags():
     # workload to the ones named before it
     out = _corpus_diff(ROOT, "prove_closure", "reach_oracle")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "22 ops compared, 0 differ"
+    lines = out.stdout.splitlines()
+    assert lines[-3] == "22 ops compared, 0 differ"
+    assert [ln.split(":")[0] for ln in lines[-2:]] == [
+        "total prove_closure", "total reach_oracle"]
 
 
 def test_corpus_diff_names_the_ops_whose_certificate_changed(tmp_path):
@@ -58,7 +63,7 @@ def test_corpus_diff_names_the_ops_whose_certificate_changed(tmp_path):
                      "prove_closure 502"}
     assert all("digest" in ln and "steps" not in ln for ln in lines
                if ln.startswith("prove_closure "))
-    assert lines[-1] == "6 ops compared, 4 differ"
+    assert lines[-2] == "6 ops compared, 4 differ"
 
 
 def test_corpus_diff_runs_both_random_proof_groups_with_standardize(tmp_path):
@@ -72,12 +77,47 @@ def test_corpus_diff_runs_both_random_proof_groups_with_standardize(tmp_path):
     out = _corpus_diff(str(tmp_path), "standardize_battery")
     assert out.returncode == 1, out.stderr
     lines = out.stdout.splitlines()
-    groups = [ln.split()[0] for ln in lines[:-3]]
+    groups = [ln.split()[0] for ln in lines[:-6]]
     assert {g: groups.count(g) for g in set(groups)} == {
         "standardize_battery": 6, "criterion_5": 2, "random_proofs": 10}
-    assert lines[-3:] == ["field afterSeqNumbers differs in 18 ops",
-                          "field seqNumbersAfter differs in 18 ops",
-                          "18 ops compared, 18 differ"]
+    assert lines[-6:-3] == ["field afterSeqNumbers differs in 18 ops",
+                            "field seqNumbersAfter differs in 18 ops",
+                            "18 ops compared, 18 differ"]
+    # standardize runs no search: every total is 0
+    assert lines[-3:] == [f"total {g}: steps 0 (here) vs 0; visited 0 (here) vs 0"
+                          for g in ("standardize_battery", "criterion_5",
+                                    "random_proofs")]
+
+
+def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
+    # the copy counts one step more in every search it runs to its end
+    # (not in a refuted one): each workload's steps total there exceeds
+    # the total here by the number of ops that differ
+    _copy_src(tmp_path)
+    search = tmp_path / "src" / "bvq" / "search.py"
+    text = search.read_text()
+    line = "return SearchOutcome(d, stopped_by, steps, visited, pruned)"
+    assert text.count(line) == 1
+    search.write_text(text.replace(
+        line, "return SearchOutcome(d, stopped_by, steps + 1, visited, pruned)"))
+    out = _corpus_diff(str(tmp_path), "prove_closure", "reach_oracle")
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import corpus
+        import ops
+    finally:
+        sys.path.pop(0)
+    for w, total in zip(("prove_closure", "reach_oracle"), lines[-2:]):
+        stats = [json.loads(ops.execute(op).out)["stats"]
+                 for op in corpus.load(w)["ops"][::100]]
+        steps = sum(s["steps"] for s in stats)
+        visited = sum(s["visited"] for s in stats)
+        moved = sum(ln.startswith(f"{w} ") for ln in lines)
+        assert moved > 0
+        assert total == (f"total {w}: steps {steps} (here) vs {steps + moved}; "
+                         f"visited {visited} (here) vs {visited}")
 
 
 def _bench_pairs():

@@ -9,7 +9,9 @@ every operation whose exit code, output digest (``ops.output_digest``:
 the output without its ``stats``) or ``stats.steps``/``stats.visited``
 differ, and exits 1 on any difference, 0 when every operation agrees.
 When a digest differs, the report also names the top-level output
-fields that differ (such as ``proof``) and ends with a count per field.
+fields that differ (such as ``proof``) and gives a count per field.  It
+ends with each workload's total ``stats.steps`` and ``stats.visited``
+under both trees (0 for operations that print no search stats).
 
 With ``standardize_battery``, two groups of random proofs are run
 through ``bvq standardize`` as well: ``criterion_5``, the 200 proofs of
@@ -159,6 +161,11 @@ def main(argv=None) -> int:
     for k, n in sorted(per_field.items()):
         print(f"field {k} differs in {n} ops")
     print(f"{len(here)} ops compared, {differ} differ")
+    for w in dict.fromkeys(w for w, _ in here):
+        sums = [sum(recs[k][f] or 0 for k in recs if k[0] == w)
+                for f in ("steps", "visited") for recs in (here, there)]
+        print(f"total {w}: steps {sums[0]} (here) vs {sums[1]}; "
+              f"visited {sums[2]} (here) vs {sums[3]}")
     return 1 if differ else 0
 
 
