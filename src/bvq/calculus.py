@@ -136,54 +136,18 @@ def same_occurrences(a: Structure, b: Structure) -> bool:
     return canonical_key(a) == canonical_key(b) and uid_set(a) == uid_set(b)
 
 
-def atom_balance(s: Structure) -> dict[Optional[str], int]:
-    """For each free atom base of ``s``, its positive minus its negative
-    occurrences, and under the key None, which no base takes, the same
-    count over all bound occurrences together; zero counts are left out.
+def pairable(s: Structure, nf: Structure = ONE,
+             env_ids: Container[int] = frozenset()) -> bool:
+    """Whether every atom of ``[s; nf]`` can be matched to a distinct
+    complementary atom it is Par-related to (their lowest common bracket
+    a Par), with no atom of ``s`` whose id is in ``env_ids`` matched to
+    an atom of ``nf``.  Complementary atoms have the other polarity and
+    the same class: a free atom's base, or one class for every bound
+    atom.  ``nf`` is told apart from ``s`` by its place in the walk, not
+    by its ids.
 
-    No down rule changes the balance, so the conclusion and the premise
-    of any derivation have equal balances:
-
-    * ``q_down``, ``u_down`` and ``switch`` only regroup atoms;
-    * ``ai_down`` and ``ai_down_left`` delete an ``a`` and an ``~a`` that
-      are children of one Par node, so both are free or both are bound
-      by the same binder: of one class, whose count does not change;
-    * canonicalization removes only units and vacuous binders, and
-      renames only bound names;
-    * no occurrence changes class: ``u_down`` refuses a capture, and
-      binder names avoid every free base.
-
-    A structure whose balance is not the goal's therefore has no
-    derivation from the goal; a provable one has the unit's, empty,
-    balance."""
-    bal: dict[Optional[str], int] = {}
-
-    def walk(t: Structure, bound: frozenset[str]) -> None:
-        if isinstance(t, Atom):
-            k = None if t.name.base in bound else t.name.base
-            bal[k] = bal.get(k, 0) + (1 if t.name.positive else -1)
-        elif isinstance(t, Sdq):
-            walk(t.body, bound | {t.binder.base})
-        elif isinstance(t, (Seq, Par, CoPar)):
-            for p in t.parts:
-                walk(p, bound)
-
-    try:
-        walk(s, frozenset())
-    except RecursionError:
-        raise StructureError(_TOO_DEEP) from None
-    return {k: n for k, n in bal.items() if n}
-
-
-def pairable(s: Structure, must: Optional[Container[int]] = None) -> bool:
-    """Whether the atoms of ``s`` whose ids are in ``must`` (every atom
-    when ``must`` is None) can all be matched to distinct complementary
-    atoms they are Par-related to: of the class ``atom_balance`` counts
-    them in and of the other polarity, with a Par as their lowest common
-    bracket.
-
-    No down rule makes two atoms Par-related going up, so an atom can
-    only ever interact with an atom it is Par-related to now:
+    Going up, no down rule makes two atoms Par-related, and no atom
+    changes class:
 
     * ``q_down`` turns ``[<R;T>;<U;V>]`` into ``<[R;U];[T;V]>``, moving
       R-V and T-U from Par into Seq; ``switch`` turns ``[(R;T);U]``
@@ -191,19 +155,38 @@ def pairable(s: Structure, must: Optional[Container[int]] = None) -> bool:
       pair keeps its relation, as under ``u_down``;
     * canonicalization only flattens brackets, removes units and
       vacuous binders, and renames and reorders binders;
-    * an interaction deletes two atoms that are children of one Par.
+    * an interaction deletes two atoms that are children of one Par, so
+      both are free or both are bound;
+    * ``u_down`` refuses a capture, and binder names avoid every free
+      base.
 
-    The interactions a derivation makes from ``s`` form a matching of
-    such pairs, and classes never change (``atom_balance``).  So when no
-    matching covers ``must``, no derivation from ``s`` deletes every
-    atom of ``must``.  The graph is bipartite, positives against
-    negatives; a matching covering the positives of ``must`` and one
-    covering its negatives make one covering both (Mendelsohn-Dulmage),
-    so two one-sided augmenting-path (Kuhn) searches decide it."""
+    Let ``nf`` be the canonical negation of a goal ``g`` and suppose
+    some derivation from ``g`` has conclusion ``s`` and deletes every
+    atom of ``env_ids``.  Its interactions pair atoms of ``s`` that are
+    complementary and Par-related in ``s``.  The atoms it keeps are
+    those of a structure congruent to ``g``; each is complementary to
+    its dual in ``nf``, and every atom of ``s`` is Par-related to every
+    atom of ``nf``.  Together these pairs match every atom of ``[s; nf]``,
+    and no environment atom survives to be matched into ``nf``.  So a
+    structure that fails the test has no such derivation.  The matching
+    pairs off the positive and negative atoms of each class, so the test
+    fails whenever ``s`` and ``g`` differ in some class's count of
+    positive minus negative atoms, a count no derivation changes.
+
+    The graph is bipartite, positives against negatives; with as many
+    of each, a matching covering the positives covers every atom, so
+    one augmenting-path (Kuhn) search decides it."""
     cls: list[Optional[str]] = []          # class of each atom, by index
     adj: list[list[int]] = []              # complementary Par-related atoms
     pos: list[bool] = []
-    wanted: list[int] = []
+    ids: list[Optional[int]] = []
+
+    def link(got: list[int], below: list[int]) -> None:
+        for i in got:
+            for j in below:
+                if cls[i] == cls[j] and pos[i] != pos[j]:
+                    adj[i].append(j)
+                    adj[j].append(i)
 
     def walk(t: Structure, bound: frozenset[str]) -> list[int]:
         if isinstance(t, Atom):
@@ -211,8 +194,7 @@ def pairable(s: Structure, must: Optional[Container[int]] = None) -> bool:
             cls.append(None if t.name.base in bound else t.name.base)
             pos.append(t.name.positive)
             adj.append([])
-            if must is None or t.uid in must:
-                wanted.append(i)
+            ids.append(t.uid)
             return [i]
         if isinstance(t, Sdq):
             return walk(t.body, bound | {t.binder.base})
@@ -222,35 +204,30 @@ def pairable(s: Structure, must: Optional[Container[int]] = None) -> bool:
         for p in t.parts:
             got = walk(p, bound)
             if isinstance(t, Par):
-                for i in got:
-                    for j in below:
-                        if cls[i] == cls[j] and pos[i] != pos[j]:
-                            adj[i].append(j)
-                            adj[j].append(i)
+                link(got, below)
             below += got
         return below
 
     try:
-        walk(s, frozenset())
+        process = [i for i in walk(s, frozenset()) if ids[i] not in env_ids]
+        link(walk(nf, frozenset()), process)
     except RecursionError:
         raise StructureError(_TOO_DEEP) from None
+    side = [i for i in range(len(cls)) if pos[i]]
+    if 2 * len(side) != len(cls):
+        return False
+    mate: dict[int, int] = {}
 
-    def covers(side: list[int]) -> bool:
-        mate: dict[int, int] = {}
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in mate or augment(mate[j], seen):
+                    mate[j] = i
+                    return True
+        return False
 
-        def augment(i: int, seen: set[int]) -> bool:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    if j not in mate or augment(mate[j], seen):
-                        mate[j] = i
-                        return True
-            return False
-
-        return all(augment(i, set()) for i in side)
-
-    return covers([i for i in wanted if pos[i]]) and \
-        covers([i for i in wanted if not pos[i]])
+    return all(augment(i, set()) for i in side)
 
 
 # ---------------------------------------------------------------------------
@@ -761,15 +738,12 @@ def derivation_from_dict(data: dict) -> Derivation:
 def format_derivation(d: Derivation) -> str:
     """Human-readable bottom-up listing (premise on top)."""
     lines = [print_structure(d.premise)]
-    for st in reversed(d.steps):
+    lower = list(d.structures())[:-1]
+    for st, below in zip(reversed(d.steps), reversed(lower)):
         inst = st.instance
         pth = "".join(f".{op}{idx}" for op, idx in inst.path) or ".root"
         lines.append(f"--{inst.rule} @{pth}  "
                      f"{print_structure(inst.conclusion_redex)}"
                      f" ~> {print_structure(inst.replacement)}")
-        below = d.conclusion
-        idx = d.steps.index(st)
-        if idx > 0:
-            below = d.steps[idx - 1].result
         lines.append(print_structure(below))
     return "\n".join(lines)

@@ -68,7 +68,20 @@ ZERO = PZero()
 # parsing / printing
 # ---------------------------------------------------------------------------
 
-_RESERVED = {"nu", "tau"}
+_RESERVED = {"fo", "nu", "tau"}
+
+
+def _action(sc: _Scanner) -> Action:
+    """Read ``tau`` or a label ``[~]name`` whose name is not reserved."""
+    positive = sc.peek() != "~"
+    if not positive:
+        sc.pos += 1
+    word = sc.ident()
+    if positive and word == "tau":
+        return TAU
+    if word in _RESERVED:
+        sc.error(f"{word!r} is reserved")
+    return Name(word, positive)
 
 
 def _parse_term(sc: _Scanner) -> Process:
@@ -82,10 +95,9 @@ def _parse_term(sc: _Scanner) -> Process:
         sc.expect(")")
         return p
     if ch == "~":
-        sc.pos += 1
-        base = sc.ident()
+        label = _action(sc)
         sc.expect(".")
-        return PPrefix(Name(base, False), _parse_term(sc))
+        return PPrefix(label, _parse_term(sc))
     if ch in _IDENT_START:
         word = sc.ident()
         if word == "nu":
@@ -137,18 +149,15 @@ def print_process(p: Process) -> str:
 
 
 def parse_actions(text: str) -> ActionSeq:
+    sc = _Scanner(text, ProcessError)
     items: list[Action] = []
-    for raw in text.split(";"):
-        tok = raw.strip()
-        if not tok:
-            raise ProcessError("empty action in sequence")
-        if tok == "tau":
-            items.append(TAU)
-        elif tok.startswith("~"):
-            items.append(Name(tok[1:], False))
-        else:
-            items.append(Name(tok))
-    return tuple(items)
+    while True:
+        if sc.peek() in (";", ""):
+            sc.error("empty action in sequence")
+        items.append(_action(sc))
+        if sc.peek() == "":
+            return tuple(items)
+        sc.expect(";")
 
 
 def print_actions(alpha: ActionSeq) -> str:

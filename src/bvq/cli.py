@@ -65,15 +65,6 @@ def _read_json_arg(source: str) -> dict:
         return json.load(fh)
 
 
-def _strip_timings(payload: dict) -> dict:
-    stats = payload.get("stats")
-    if isinstance(stats, dict):
-        stats.pop("elapsed_ms", None)
-        stats.pop("stoppedBy", None)
-        stats.pop("pruned", None)
-    return payload
-
-
 def cmd_canon(args) -> int:
     out = print_structure(canonicalize(parse_structure(args.structure)))
     _emit(args, {"canonical": out}, out)
@@ -184,9 +175,7 @@ def cmd_reach(args) -> int:
     f = parse_process(args.target)
     alpha = parse_actions(args.actions)
     verdict = reach(e, f, alpha, _budget(args))
-    payload = verdict_to_dict(verdict)
-    if not args.timings:
-        _strip_timings(payload)
+    payload = verdict_to_dict(verdict, args.timings)
     if verdict.proved:
         text = "\n".join([
             "proved",

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    Step, _remove_children, apply_instance, atom_balance, breadth_first,
+    Step, _remove_children, apply_instance, breadth_first,
     check_derivation, derivation_to_dict, enumerate_instances, pairable,
     replay, same_occurrences, seq_number, start_derivation,
 )
@@ -73,7 +73,7 @@ class SearchOutcome:
     stopped_by: str  # "goal", "steps", "visited", "closed" or "refuted"
     steps: int
     visited: int
-    pruned: int = 0  # states not expanded because they are not pairable
+    pruned: int = 0  # dead-end states not expanded
 
     @property
     def found(self) -> bool:
@@ -93,20 +93,18 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
             ) -> SearchOutcome:
     """Breadth-first bottom-up closure from a canonical annotated start.
     The goal is any state congruent to ``goal`` whose tracked environment
-    atoms have all been consumed.  A goal whose atom balance is not the
-    start's is refuted before any state is generated: no derivation
-    changes the balance (``calculus.atom_balance``).
+    atoms have all been consumed.
 
-    A state is not expanded when the atoms it must still lose cannot all
-    pair (``calculus.pairable``): every atom when the goal is the unit,
-    else the live environment atoms (none for ``derive``, which is
-    therefore not pruned).  Such a state, like every state it
-    generates, has no derivation to the goal, so every state that
-    reaches the goal is still generated by the same first parent, in
-    the same order.  The first goal found and its path do not change;
-    only ``steps`` and ``visited`` shrink, and a search that ran out of
-    a budget may now finish.  A pruned state is keyed and counted as
-    visited when its parent generates it, and ``pruned`` counts it.
+    A state is a dead end when it fails ``calculus.pairable`` against
+    ``nf``, the goal's canonical negation, with the environment atoms
+    kept off ``nf``: then no derivation of it from the goal consumes the
+    environment.  A dead start is refuted before any state is generated.  A dead state is not expanded, and
+    neither it nor any state it would generate reaches the goal, so every
+    state that does is still generated by the same first parent, in the
+    same order.  The first goal found and its path do not change; only
+    ``steps`` and ``visited`` shrink, and a search that ran out of a
+    budget may now finish.  A dead state is keyed and counted as visited
+    when its parent generates it, and ``pruned`` counts it.
 
     A search state is ``(parent, instance, live ids)``: the structure is
     the premise of the instance applied to the parent structure (the
@@ -158,12 +156,16 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         raise SearchError("fragment must be 'down' or 'standard'")
     if fragment == "standard" and not is_tensor_free(start):
         raise SearchError("the standard fragment handles Tensor-free goals only")
-    if atom_balance(start) != atom_balance(goal):
+    nf = canonicalize(negate(goal))
+
+    def dead(s: Structure) -> bool:
+        return not pairable(s, nf, env_ids)
+
+    if dead(start):
         # one state, the start, as ``breadth_first`` counts a start that
         # is the goal
         return SearchOutcome(None, "refuted", 0, 1)
     want = canonical_key(goal)
-    every = want == "1"
     live_names = {a.name for a in iter_atoms(start) if a.uid in env_ids}
     marked = any(a.name in live_names for a in iter_atoms(start)
                  if a.uid not in env_ids)
@@ -179,7 +181,7 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         nonlocal pruned
         parent, inst, live = state
         s = parent if inst is None else apply_instance(parent, inst)
-        if (every or live) and not pairable(s, None if every else live):
+        if dead(s):
             pruned += 1
             return
         for inst, tree in enumerate_instances(s, _SEARCH_RULES):
@@ -533,10 +535,14 @@ class ReachStats:
     stopped_by: str = "goal"            # as in ``SearchOutcome``
     pruned: int = 0                     # as in ``SearchOutcome``
 
-    def as_dict(self) -> dict:
-        return {"steps": self.steps, "visited": self.visited,
-                "elapsed_ms": round(self.elapsed_ms, 3),
-                "stoppedBy": self.stopped_by, "pruned": self.pruned}
+    def as_dict(self, timings: bool = False) -> dict:
+        """The counts, and under ``timings`` the elapsed time, the stop
+        reason and the count of pruned states too."""
+        out: dict = {"steps": self.steps, "visited": self.visited}
+        if timings:
+            out.update(elapsed_ms=round(self.elapsed_ms, 3),
+                       stoppedBy=self.stopped_by, pruned=self.pruned)
+        return out
 
 
 @dataclass(slots=True)
@@ -673,8 +679,8 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
     return ReachVerdict("proved", proof, standard, witness, stats=stats)
 
 
-def verdict_to_dict(v: ReachVerdict) -> dict:
-    out: dict = {"status": v.status, "stats": v.stats.as_dict()}
+def verdict_to_dict(v: ReachVerdict, timings: bool = False) -> dict:
+    out: dict = {"status": v.status, "stats": v.stats.as_dict(timings)}
     if v.proved:
         out["proof"] = derivation_to_dict(v.proof)
         out["standardDerivation"] = derivation_to_dict(v.standard)

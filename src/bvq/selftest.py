@@ -217,9 +217,10 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
 
     Every (target, labels) pair the oracle finds must be proved, and a
     sample of pairs the oracle rejects must come back not-found.  Every
-    judgment the search refutes by atom balance must be unreachable for
-    the oracle at a depth of the number of prefixes of the process: each
-    transition fires at least one prefix, so that depth decides it."""
+    judgment the search refutes (its start a dead end) must be
+    unreachable for the oracle at a depth of the number of prefixes of
+    the process: each transition fires at least one prefix, so that
+    depth decides it."""
     report = OracleReport()
 
     def check_refuted(e, f, alpha, v) -> None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bvq import calculus
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
-    RuleInstance, Step, SWITCH, U_DOWN, apply_instance, atom_balance,
+    RuleInstance, Step, SWITCH, U_DOWN, apply_instance,
     breadth_first, pairable, check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
     replay, start_derivation,
@@ -386,14 +386,25 @@ def test_breadth_first_goal_test_and_budgets():
     assert run(5, max_visited=4) == ([("2n", 2), ("2n+1", 5)], "goal", 4, 5)
 
 
-def test_atom_balance_counts_free_bases_and_bound_occurrences_apart():
-    assert atom_balance(ONE) == {}
-    assert atom_balance(parse_structure("[a;~a;<b;b>]")) == {"b": 2}
-    # bound occurrences of every binder share the key None
+def against(premise):
+    """The canonical negation of ``premise``: the ``nf`` of ``pairable``."""
+    return canonicalize(negate(parse_structure(premise)))
+
+
+def test_pairable_counts_free_bases_and_bound_occurrences_apart():
+    # a matching pairs off each class, so a premise whose positive minus
+    # negative count differs in some class is refuted
+    s = parse_structure("[a;~a;<b;b>]")
+    assert pairable(s, against("<b;b>"))
+    assert not pairable(s) and not pairable(s, against("b"))
+    # bound occurrences of every binder form one class
     s = parse_structure("[fo a.[a;b]; ~a; fo c.<~c;~c>; fo b.[b;b]]")
-    assert atom_balance(s) == {None: 1, "a": -1, "b": 1}
+    assert pairable(s, against("[fo d.d; ~a; b]"))
+    assert not pairable(s, against("[d; ~a; b]"))
+    assert not pairable(s, against("[fo d.d; ~a]"))
     # a vacuous binder binds nothing
-    assert atom_balance(parse_structure("fo a.~b")) == {"b": -1}
+    assert pairable(parse_structure("fo a.~b"), against("~b"))
+    assert not pairable(parse_structure("fo a.~b"), against("fo b.~b"))
 
 
 def numbered(text):
@@ -427,12 +438,18 @@ def test_pairable_puts_bound_atoms_of_every_binder_in_one_class():
     assert not pairable(numbered("[fo a.a; ~a]"))
 
 
-def test_pairable_asks_only_the_given_atoms_to_pair():
-    # ~a(0) a(1) in Seq, beside a twin a(2): only a(2) can meet ~a(0)
+def test_pairable_keeps_environment_atoms_off_the_negated_premise():
+    # ~a(0) a(1) in Seq, beside a twin a(2): toward the premise a, one
+    # a survives to meet the premise's negation, and it can only be a(1)
     s = numbered("[<~a;a>; a]")
     assert not pairable(s)
-    assert pairable(s, {2}) and pairable(s, {0, 2}) and pairable(s, ())
-    assert not pairable(s, {1}) and not pairable(s, {1, 2})
+    assert pairable(s, against("a")) and pairable(s, against("a"), {0, 2})
+    # an environment atom must die before the premise is reached
+    assert not pairable(s, against("a"), {1})
+    assert not pairable(s, against("a"), {1, 2})
+    # the negated premise is told apart by its place, not by its ids:
+    # its ~a carries id 0, an environment id, and still meets a(1)
+    assert pairable(s, numbered("~a"), {0, 2})
 
 
 def test_remove_children_takes_the_very_object_before_a_congruent_one(

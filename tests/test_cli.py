@@ -179,6 +179,32 @@ def test_deep_process_is_usage_error(capsys):
     assert err.strip() == "bvq: input nests too deeply"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # fo is a word of the structure grammar: a process prefix fo compiled
+    # to an atom fo that no structure parser reads back
+    (("reach", "fo.0", "0", "fo", "--json"), "'fo' is reserved"),
+    (("compile", "fo.0"), "'fo' is reserved"),
+    (("compile", "~fo.0"), "'fo' is reserved"),
+    # every label is tau or [~]name, and no name is a reserved word
+    (("reach", "a.0", "0", "~"), "expected a name"),
+    (("reach", "a.0", "0", "a b"), "expected ';'"),
+    (("reach", "a.0", "0", "nu"), "'nu' is reserved"),
+    (("reach", "a.0", "0", "~tau"), "'tau' is reserved"),
+    (("lts", "a.0", "0", "A"), "expected a name"),
+    (("reach", "a.0", "0", "a;"), "empty action"),
+])
+def test_reserved_words_and_malformed_labels_are_usage_errors(
+        capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("bvq: ") and message in err
+
+
+def test_labels_may_be_spaced_around_their_separators(capsys):
+    code, out, _ = run(capsys, "reach", "a.b.0", "0", " a ; tau;b ")
+    assert code == 0 and out.startswith("proved")
+
+
 GOOD_STEP = {"rule": "ai_down", "path": [], "redexBefore": "[a;~a]",
              "redexAfter": "1"}
 

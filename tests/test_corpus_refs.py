@@ -10,12 +10,11 @@ its output and checked again, and so is the composed proof, whose
 conclusion must be ``[<E>; ~<F>; R]`` for the environment ``R`` of the
 judgment and whose premise must be the unit.  The search's
 ``stats.steps`` and ``stats.visited`` of each sampled reach operation
-are pinned, and so is which of them the search refutes by atom balance;
-a refuted one is run again with the refutation patched out, so the
-closure it bypasses stays pinned too.  Every sampled operation is run
-once more with the pruning of unpairable states (``calculus.pairable``)
-patched out as well: it reaches the same verdict, and its counts, those
-of the search before the pruning, stay pinned.  Reach outputs are not
+are pinned, and so is which of them the search refutes because its start
+is a dead end (``calculus.pairable``).  Every sampled operation is run
+once more with the dead-end test patched out: it reaches the same
+verdict (a refuted one by closing its state space), and its counts,
+those of the search before the test, stay pinned.  Reach outputs are not
 compared by digest, because part of the reach references predate
 printing Par components in structure-key order."""
 
@@ -47,9 +46,8 @@ SAMPLED = [(w, op) for w in ("prove_closure", "standardize_battery")
            for op in corpus.load(w)["ops"][::20]]
 REACH = corpus.load("reach_oracle")["ops"][::20]
 # stats.steps and stats.visited of each sampled reach operation, by id,
-# when the search is run with neither the refutation by atom balance nor
-# the pruning of unpairable states: a change to the state space the
-# search generates changes these
+# when the search is run without the dead-end test: a change to the
+# state space the search generates changes these
 REACH_STATS = {
     0: (0, 1), 20: (497, 140), 40: (511, 142), 60: (0, 1), 80: (3, 4),
     100: (0, 1), 120: (4194, 822), 140: (0, 1), 160: (0, 1), 180: (0, 1),
@@ -69,35 +67,28 @@ REACH_STATS = {
     1437: (893, 260), 1457: (0, 1), 1477: (9, 7), 1497: (0, 1), 1517: (7, 7),
     1537: (126, 48), 1557: (1457, 338), 1577: (0, 1), 1597: (495, 140),
 }
-# the same counts when the search does not expand a state whose atoms
-# that must be consumed cannot all pair (``calculus.pairable``)
+# the same counts, for the sampled operations the search does not
+# refute, when it does not expand a dead-end state
+# (``calculus.pairable``)
 REACH_PRUNED = {
-    0: (0, 1), 20: (53, 52), 40: (55, 54), 60: (0, 1), 80: (3, 4),
-    100: (0, 1), 120: (300, 238), 140: (0, 1), 160: (0, 1), 180: (0, 1),
-    200: (3, 4), 220: (3, 4), 240: (53, 52), 260: (1, 2), 280: (0, 1),
-    300: (0, 1), 320: (5, 6), 340: (1, 2), 360: (0, 1), 380: (0, 1),
-    400: (0, 1), 420: (0, 1), 440: (0, 1), 460: (0, 1), 480: (13, 14),
-    500: (0, 1), 520: (13, 14), 540: (151, 114), 560: (43, 37), 580: (53, 52),
-    600: (0, 1), 620: (107, 61), 640: (53, 52), 660: (64, 50), 687: (0, 1),
-    707: (0, 1), 727: (0, 1), 747: (0, 1), 767: (0, 1), 787: (1, 2),
-    807: (0, 1), 827: (580, 393), 853: (0, 1), 873: (0, 1), 893: (34, 30),
-    913: (15, 16), 933: (179, 139), 953: (3, 4), 973: (0, 1), 993: (5, 6),
-    1017: (3, 4), 1037: (1, 2), 1057: (0, 1), 1077: (0, 1), 1097: (0, 1),
-    1117: (15, 16), 1137: (1, 2), 1157: (0, 1), 1177: (3, 4), 1197: (0, 1),
-    1217: (3, 4), 1237: (1, 2), 1257: (13, 11), 1277: (0, 1), 1297: (1, 2),
-    1317: (186, 123), 1337: (13, 14), 1357: (15, 16), 1377: (0, 1),
-    1397: (0, 1), 1417: (13, 14), 1437: (150, 115), 1457: (0, 1),
-    1477: (0, 1), 1497: (0, 1), 1517: (5, 6), 1537: (34, 30), 1557: (0, 1),
-    1577: (0, 1), 1597: (53, 52),
+    0: (0, 1), 20: (53, 52), 120: (300, 238), 160: (0, 1), 240: (53, 52),
+    260: (1, 2), 300: (0, 1), 320: (5, 6), 340: (1, 2), 380: (0, 1),
+    480: (13, 14), 500: (0, 1), 520: (13, 14), 540: (151, 114),
+    560: (43, 37), 580: (53, 52), 640: (53, 52), 687: (0, 1), 707: (0, 1),
+    747: (0, 1), 787: (1, 2), 807: (0, 1), 827: (580, 393), 853: (0, 1),
+    893: (34, 30), 933: (179, 139), 993: (5, 6), 1037: (1, 2), 1057: (0, 1),
+    1137: (1, 2), 1237: (1, 2), 1297: (1, 2), 1317: (186, 123),
+    1337: (13, 14), 1377: (0, 1), 1397: (0, 1), 1417: (13, 14),
+    1437: (150, 115), 1457: (0, 1), 1517: (5, 6), 1537: (34, 30),
+    1597: (53, 52),
 }
-# the sampled operations whose goal's atom balance is not the start's:
-# the search refutes them at (0, 1) before generating a state, and their
-# REACH_PRUNED entries are those of the search with the refutation
-# patched out, which closes the state space without a derivation
+# the sampled operations whose start is a dead end: the search refutes
+# them at (0, 1) before generating a state, and the search with the
+# pruning patched out closes their state space without a derivation
 REFUTED = {
-    40, 60, 80, 100, 140, 180, 200, 220, 280, 360, 400, 420, 440, 460,
-    600, 620, 660, 727, 873, 913, 953, 973, 1017, 1077, 1097, 1117,
-    1157, 1177, 1197, 1217, 1257, 1277, 1357, 1477, 1497, 1557, 1577,
+    40, 60, 80, 100, 140, 180, 200, 220, 280, 360, 400, 420, 440, 460, 600,
+    620, 660, 727, 767, 873, 913, 953, 973, 1017, 1077, 1097, 1117, 1157,
+    1177, 1197, 1217, 1257, 1277, 1357, 1477, 1497, 1557, 1577,
 }
 
 
@@ -121,18 +112,18 @@ def _run_reach(op: dict) -> dict:
 def test_reach_verdict_and_certificates_check(op, monkeypatch):
     payload = _run_reach(op)
     stats = payload["stats"]
-    assert (stats["stoppedBy"] == "refuted") == (op["id"] in REFUTED)
     if op["id"] in REFUTED:
-        assert (stats["steps"], stats["visited"]) == (0, 1)
-        monkeypatch.setattr(search, "atom_balance", lambda s: {})
-        stats = _run_reach(op)["stats"]
-        assert stats["stoppedBy"] == "closed"
-    assert (stats["steps"], stats["visited"]) == REACH_PRUNED[op["id"]]
-    monkeypatch.setattr(search, "pairable", lambda s, must=None: True)
+        assert (stats["stoppedBy"], stats["steps"], stats["visited"]) == (
+            "refuted", 0, 1)
+    else:
+        assert stats["stoppedBy"] != "refuted"
+        assert (stats["steps"], stats["visited"]) == REACH_PRUNED[op["id"]]
+    monkeypatch.setattr(search, "pairable", lambda *args: True)
     unpruned = _run_reach(op)
     assert unpruned["status"] == payload["status"]
+    closed = "closed" if op["id"] in REFUTED else stats["stoppedBy"]
     assert (unpruned["stats"]["stoppedBy"], unpruned["stats"]["pruned"]) == (
-        stats["stoppedBy"], 0)
+        closed, 0)
     assert (unpruned["stats"]["steps"], unpruned["stats"]["visited"]) == \
         REACH_STATS[op["id"]]
     if payload["status"] != "proved":

@@ -1,14 +1,13 @@
 """Property tests for congruence, which processes share with structures
 through the bridge image, for the canonicalization kernel against a
 reference copy, for the key read from flattened views, for the marked
-key and the reach search key, for the atom balance the search refutes
-by, for the Par relation the search prunes by, and for the scanner both
-grammars share."""
+key and the reach search key, for the dead-end test the search refutes
+and prunes by, and for the scanner both grammars share."""
 
 import math
 import random
 import re
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Optional
 from unittest import mock
 
@@ -22,8 +21,8 @@ from bvq.ccsr import (
     print_process, process_congruent, process_key,
 )
 from bvq.calculus import (
-    _rewrite, apply_instance, atom_balance, enumerate_instances,
-    format_derivation,
+    _rewrite, apply_instance, enumerate_instances, format_derivation,
+    pairable,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, StructureError,
@@ -449,12 +448,12 @@ def _check_reach_keys(e, f, alpha) -> list:
     against a walk of its structure, built as the search builds it
     (the premise of its instance applied to its parent), and that the
     keys split the states as the always-marked key does.  The
-    refutation by atom balance is patched out, so an unbalanced judgment
-    is searched too.  Returns the ``(structure, environment ids)`` pair
-    of every recorded state."""
+    dead-end test is patched out, so a refuted judgment is searched too.
+    Returns the ``(structure, environment ids)`` pair of every recorded
+    state."""
     calls = []  # (environment ids, [(state, key), ...]) per search
     real_bfs, real_search = search.breadth_first, search._search
-    real_balance = search.atom_balance
+    real_pairable = search.pairable
 
     def recording_search(start, fragment, budget, goal, env_ids=frozenset()):
         calls.append((env_ids, []))
@@ -471,12 +470,12 @@ def _check_reach_keys(e, f, alpha) -> list:
         return real_bfs(start, start_key, keyed, *rest)
 
     search.breadth_first, search._search = recording_bfs, recording_search
-    search.atom_balance = lambda s: {}
+    search.pairable = lambda *args: True
     try:
         search.reach(e, f, alpha, search.SearchBudget(3000, 1500))
     finally:
         search.breadth_first, search._search = real_bfs, real_search
-        search.atom_balance = real_balance
+        search.pairable = real_pairable
     assert calls and calls[0][1]
     structures = []  # (structure, environment ids) per keyed state
     for env_ids, seen in calls:
@@ -514,7 +513,7 @@ def test_reach_key_on_a_judgment_with_twin_states():
 
 
 # ---------------------------------------------------------------------------
-# the atom balance
+# the dead-end test
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -522,11 +521,12 @@ def test_reach_key_on_a_judgment_with_twin_states():
 @example(parse_structure("[fo a.[a;~a;b]; fo a.<~a;c>; fo b.(b;~b); ~b; a]"))
 @example(parse_structure("[(a;~b); fo a.[~a;<a;b>]; fo a.~a; [b;~b]]"))
 def test_every_rule_instance_keeps_the_atom_balance(s):
-    want = atom_balance(s)
+    # one step derives the conclusion from its premise, so the conclusion
+    # pairs against the premise's negation; the matching pairs off the
+    # atoms of each class, so the two balance
     s = canonicalize(s)
-    assert atom_balance(s) == want
     for _, tree in enumerate_instances(s):
-        assert atom_balance(canonicalize(tree)) == want
+        assert pairable(s, canonicalize(negate(tree)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -541,8 +541,8 @@ def test_a_refuted_judgment_is_unreachable_for_the_oracle(e, data):
         f, alpha = data.draw(st.sampled_from(reached))
         alpha = data.draw(st.one_of(
             st.just(alpha), st.lists(names, min_size=1, max_size=3).map(tuple)))
-    # a budget of one step: a judgment the balance does not refute stops
-    # at once, and one it refutes is refuted before any step
+    # a budget of one step: a judgment whose start is not a dead end
+    # stops at once, and one whose start is is refuted before any step
     v = search.reach(e, f, alpha, search.SearchBudget(1, 1))
     if v.stopped_by == "refuted":
         assert not v.proved and (v.stats.steps, v.stats.visited) == (0, 1)
@@ -551,7 +551,7 @@ def test_a_refuted_judgment_is_unreachable_for_the_oracle(e, data):
 
 
 # ---------------------------------------------------------------------------
-# the Par relation and the pruning of unpairable states
+# the Par relation and the pruning of dead-end states
 # ---------------------------------------------------------------------------
 
 def _par_pairs(s) -> set:
@@ -590,8 +590,34 @@ def test_no_rule_instance_makes_two_atoms_par_related(s):
 
 def _unpruned(run):
     """``run()`` with every state pairable: the search prunes nothing."""
-    with mock.patch.object(search, "pairable", lambda s, must=None: True):
+    with mock.patch.object(search, "pairable", lambda *args: True):
         return run()
+
+
+def _same_search(run):
+    """``run()`` with and without the dead-end test: when the unpruned
+    search finishes, the pruned one finishes in no more steps and finds
+    the same derivation.  (When both run out of a budget, their counts
+    say nothing: each spends it on other states.)  A dead start is
+    refuted where the unpruned search closes its state space."""
+    out, ref = run(), _unpruned(run)
+    if ref.exhausted:
+        return
+    assert not out.exhausted
+    assert out.steps <= ref.steps and out.visited <= ref.visited
+    assert out.stopped_by == ref.stopped_by or (
+        out.stopped_by, ref.stopped_by) == ("refuted", "closed")
+    assert out.found == ref.found
+    if out.found:
+        assert format_derivation(out.derivation) == format_derivation(ref.derivation)
+
+
+def _premises_above(goal) -> list:
+    """Structures one or two rule instances above ``goal``, the unit left
+    out: premises that ``goal`` is often derived from."""
+    one = [canonicalize(t) for _, t in islice(enumerate_instances(canonicalize(goal)), 6)]
+    two = [canonicalize(t) for s in one[:3] for _, t in islice(enumerate_instances(s), 3)]
+    return [p for p in one + two if canonical_key(p) != "1"]
 
 
 _PRUNE_BUDGET = search.SearchBudget(4000, 1500)
@@ -607,19 +633,20 @@ small_structures = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(structures, small_structures.map(lambda s: mk_par([s, negate(s)])),
                  st.tuples(small_structures, small_structures).map(
-                     lambda p: mk_par([p[0], negate(p[1])]))))
-@example(parse_structure("[<a;b>;<~b;~a>]"))
-@example(parse_structure("[fo a.<a;b>; fo b.[~a;~b]]"))
-def test_pruning_keeps_every_proof_search_certificate(goal):
-    out = search.prove(goal, budget=_PRUNE_BUDGET)
-    ref = _unpruned(lambda: search.prove(goal, budget=_PRUNE_BUDGET))
-    assert out.steps <= ref.steps and out.visited <= ref.visited
-    if out.exhausted or ref.exhausted:
+                     lambda p: mk_par([p[0], negate(p[1])]))), st.data())
+@example(parse_structure("[<a;b>;<~b;~a>]"), None)
+@example(parse_structure("[fo a.<a;b>; fo b.[~a;~b]]"), None)
+def test_pruning_keeps_every_proof_search_certificate(goal, data):
+    _same_search(lambda: search.prove(goal, budget=_PRUNE_BUDGET))
+    if data is None:
         return
-    assert out.stopped_by == ref.stopped_by
-    assert out.found == ref.found
-    if out.found:
-        assert format_derivation(out.derivation) == format_derivation(ref.derivation)
+    # and a derivation to a premise other than the unit: one a step or
+    # two above the goal, or any small structure
+    above = _premises_above(goal)
+    premise = data.draw(st.one_of(small_structures, st.sampled_from(above))
+                        if above else small_structures)
+    assume(canonical_key(canonicalize(premise)) != "1")
+    _same_search(lambda: search.derive(goal, premise, budget=_PRUNE_BUDGET))
 
 
 @settings(max_examples=100, deadline=None)
@@ -638,10 +665,13 @@ def test_pruning_keeps_every_reach_certificate(e, data):
         alpha = tuple(data.draw(st.permutations(alpha)))
     v = search.reach(e, f, alpha, _PRUNE_BUDGET)
     ref = _unpruned(lambda: search.reach(e, f, alpha, _PRUNE_BUDGET))
-    assert v.stats.steps <= ref.stats.steps and v.stats.visited <= ref.stats.visited
-    if v.exhausted or ref.exhausted:
+    if ref.exhausted:
         return
-    assert (v.status, v.stopped_by) == (ref.status, ref.stopped_by)
+    assert not v.exhausted
+    assert v.stats.steps <= ref.stats.steps and v.stats.visited <= ref.stats.visited
+    assert v.status == ref.status
+    assert v.stopped_by == ref.stopped_by or (
+        v.stopped_by, ref.stopped_by) == ("refuted", "closed")
     got, want = search.verdict_to_dict(v), search.verdict_to_dict(ref)
     del got["stats"], want["stats"]
     assert got == want

@@ -11,7 +11,7 @@ from bvq import calculus, search, structures
 from bvq.bridge import actions_to_env, classify_structure, to_structure
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, apply_instance, check_derivation,
-    derivation_length, start_derivation,
+    derivation_length, format_derivation, start_derivation,
 )
 from bvq.ccsr import (
     ZERO, check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
@@ -49,9 +49,9 @@ def test_prove_budget_exhaustion_reported():
 def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
     # successors are keyed from their parent and instance; a state is
     # built only to expand it (16,242 applications, for 1,485 states,
-    # when every successor was built).  The start is not pairable (c and
-    # ~c are Seq-related), so the pruning is patched out for the search
-    # to run
+    # when every successor was built).  The start is a dead end (c and
+    # ~c are Seq-related), so the dead-end test is patched out for the
+    # search to run
     applied = []
 
     def counting(s, inst):
@@ -60,7 +60,7 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
 
     monkeypatch.setattr(calculus, "apply_instance", counting)
     monkeypatch.setattr(search, "apply_instance", counting)
-    monkeypatch.setattr(search, "pairable", lambda s, must=None: True)
+    monkeypatch.setattr(search, "pairable", lambda *args: True)
     out = prove(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"))
     assert not out.found and not out.exhausted and out.pruned == 0
     assert 0 < len(applied) <= out.visited
@@ -68,20 +68,53 @@ def test_prove_builds_only_the_states_it_expands_or_returns(monkeypatch):
 
 def test_states_whose_atoms_cannot_pair_are_not_expanded():
     # c and ~c are Seq-related in the start, and no rule makes them
-    # Par-related going up: the start is not expanded, and the space of
-    # 1,485 states closes at once
+    # Par-related going up: the start is a dead end, refuted at once
+    # where the space of 1,485 states used to be searched
     out = prove(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"))
     assert (out.stopped_by, out.steps, out.visited, out.pruned) == (
-        "closed", 0, 1, 1)
-    # a derivation to a premise other than the unit owes no atom, so it
-    # is not pruned: the same space is searched until the premise is met
+        "refuted", 0, 1, 0)
+    # toward the premise <c;~c>, c and ~c survive to meet its negation
     out = derive(parse_structure("[<a;b>;<~a;~b>;<c;~c>]"),
                  parse_structure("<c;~c>"))
-    assert out.found and out.pruned == 0
+    assert out.found and out.pruned == 6
     # a balanced negative: seven of its eight states are not expanded
     out = prove(parse_structure("[<a;b>;<~b;~a>]"))
     assert (out.stopped_by, out.steps, out.visited, out.pruned) == (
         "closed", 7, 8, 7)
+
+
+@pytest.mark.parametrize("conclusion, found, pruned, unpruned", [
+    ("[<a;b>;<~b;~a>;c]", False, (125, 102), (1153, 265)),
+    ("[<a;b>;<~a;~b>;c]", True, (184, 143), (550, 209)),
+])
+def test_derivations_to_a_premise_other_than_the_unit_are_pruned(
+        monkeypatch, conclusion, found, pruned, unpruned):
+    # every atom but c must die, and c must meet the premise's negation:
+    # states where that cannot happen are not expanded
+    out = derive(parse_structure(conclusion), parse_structure("c"))
+    assert out.found == found and not out.exhausted and out.pruned > 0
+    assert (out.steps, out.visited) == pruned
+    monkeypatch.setattr(search, "pairable", lambda *args: True)
+    ref = derive(parse_structure(conclusion), parse_structure("c"))
+    assert (ref.steps, ref.visited) == unpruned
+    assert out.found == ref.found
+    if found:
+        assert format_derivation(out.derivation) == format_derivation(ref.derivation)
+
+
+def test_reach_to_a_target_that_keeps_atoms_is_pruned(monkeypatch):
+    # the target's ~b survives to meet the negated target: states that
+    # cannot pair it, and every other atom, are not expanded
+    judgment = (parse_process("~a.a.~b.0|a.0"), parse_process("~b.0"),
+                parse_actions("a"))
+    v = reach(*judgment)
+    assert v.proved and (v.stats.steps, v.stats.visited) == (122, 81)
+    monkeypatch.setattr(search, "pairable", lambda *args: True)
+    w = reach(*judgment)
+    assert (w.stats.steps, w.stats.visited) == (516, 133)
+    got, want = verdict_to_dict(v), verdict_to_dict(w)
+    del got["stats"], want["stats"]
+    assert got == want
 
 
 @pytest.mark.parametrize("e_t, alpha_t", [
@@ -144,7 +177,8 @@ def test_unbalanced_goals_are_refuted_before_searching():
 
 def test_seven_prefixes_against_six_labels_are_refuted_at_once():
     # the search ran out of this budget (of the default one too, after
-    # about 18 s) before the judgment was refuted by its atom balance
+    # about 18 s) before the judgment was refuted: seven a's cannot pair
+    # with six ~a's
     e = parse_process("a." * 7 + "0")
     alpha = parse_actions(";".join(["a"] * 6))
     t0 = time.perf_counter()
@@ -162,9 +196,8 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     # cached on the subterms it shares with its parent.  No state is
     # built only to key it (639 applications when every state was built
     # and marked), and no marked copy is made (499 when every successor
-    # was keyed by one).  The judgment is unbalanced, so the refutation
-    # by atom balance is patched out for the search to run; the counts are
-    # pinned with and without the pruning of unpairable states
+    # was keyed by one).  The judgment's start is a dead end, so the
+    # dead-end test is patched out for the search to run
     applied, mapped, searching = [], [], []
 
     def counting(s, inst):
@@ -190,15 +223,10 @@ def test_reach_with_twins_builds_only_the_states_it_expands_or_returns(
     monkeypatch.setattr(structures, "map_atoms", counting_map)
     monkeypatch.setattr(search, "map_atoms", counting_map)
     monkeypatch.setattr(search, "_search", tracked_search)
-    monkeypatch.setattr(search, "atom_balance", lambda s: {})
     judgment = (parse_process("~e.e.~a.0"), parse_process("~a.0"),
                 parse_actions("~e;e;~a"))
-    v = reach(*judgment)
-    assert not v.proved
-    assert (v.stats.steps, v.stats.visited, v.stats.pruned) == (55, 54, 46)
-    assert 0 < len(applied) <= v.stats.visited
-    monkeypatch.setattr(search, "pairable", lambda s, must=None: True)
-    applied.clear()
+    assert reach(*judgment).stopped_by == "refuted"
+    monkeypatch.setattr(search, "pairable", lambda *args: True)
     v = reach(*judgment)
     assert not v.proved
     assert (v.stats.steps, v.stats.visited, v.stats.pruned) == (499, 142, 0)
@@ -539,8 +567,7 @@ def test_reach_with_twin_occurrences_of_the_observed_label(monkeypatch):
     # environment occurrence may be consumed.  Such judgments key their
     # states with the live atoms marked (``marked_key``); the search
     # counts are those of marking every state, pruned and then with the
-    # pruning of unpairable states patched out, which finds the same
-    # derivation
+    # dead-end test patched out, which finds the same derivation
     cases = [
         ("x.~b.0|b.0", "b.0", "x;~b", (178, 140), (536, 204)),
         ("a.0|~a.~d.0", "a.0|~d.0", "~a", (35, 32), (53, 40)),
@@ -553,7 +580,7 @@ def test_reach_with_twin_occurrences_of_the_observed_label(monkeypatch):
         assert v.proved, (e_t, f_t, a_t)
         assert (v.stats.steps, v.stats.visited) == pruned
         with monkeypatch.context() as m:
-            m.setattr(search, "pairable", lambda s, must=None: True)
+            m.setattr(search, "pairable", lambda *args: True)
             w = reach(e, f, alpha)
         assert (w.stats.steps, w.stats.visited) == unpruned
         assert verdict_to_dict(w)["proof"] == verdict_to_dict(v)["proof"]
