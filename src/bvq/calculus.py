@@ -4,9 +4,7 @@ replay of step recipes, right-contexts, and derivation checking.
 All rules are read bottom-up: an instance rewrites a redex inside the
 conclusion into the premise.  The down fragment is ``ai_down`` (and its
 right-context relabeling ``ai_down_left``), ``switch``, ``q_down`` and
-``u_down``; the up rules exist only for the checker, which validates an
-up step by checking that negating and swapping its endpoints yields a
-valid down step.
+``u_down``, the only rules a derivation may use.
 
 Every redex lives at a Par node (the whole structure counts as a Par of
 one part when needed); an instance records the Par-node path, the
@@ -31,8 +29,8 @@ from typing import Callable, Container, Iterable, Iterator, Optional
 from .structures import (
     _TOO_DEEP, Atom, CoPar, Context, ONE, Par, Sdq, Seq, Structure, StructureError,
     assign_ids, canonical_key, canonicalize, free_bases, iter_atoms,
-    mk_copar, mk_par, mk_seq, parse_structure, print_structure, negate,
-    replace_at, json_field, strip_ids, subterm_at, uid_set,
+    mk_copar, mk_par, mk_seq, parse_structure, print_structure,
+    replace_at, json_field, subterm_at, uid_set,
 )
 
 AI_DOWN = "ai_down"
@@ -40,13 +38,8 @@ AI_DOWN_LEFT = "ai_down_left"
 SWITCH = "switch"
 Q_DOWN = "q_down"
 U_DOWN = "u_down"
-AI_UP = "ai_up"
-Q_UP = "q_up"
-U_UP = "u_up"
 
 DOWN_FRAGMENT = frozenset({AI_DOWN, AI_DOWN_LEFT, SWITCH, Q_DOWN, U_DOWN})
-UP_RULES = frozenset({AI_UP, Q_UP, U_UP})
-_DUAL = {AI_UP: AI_DOWN, Q_UP: Q_DOWN, U_UP: U_DOWN}
 
 # the rule classes in the order ``enumerate_instances`` yields them
 _RULE_CLASSES = (frozenset({AI_DOWN, AI_DOWN_LEFT}), frozenset({Q_DOWN}),
@@ -607,36 +600,15 @@ def _schema_ok(cur: Structure, inst: RuleInstance) -> bool:
     return False
 
 
-def _check_up_step(cur: Structure, result: Structure, rule: str) -> bool:
-    concl = canonicalize(negate(strip_ids(result)))
-    want = canonical_key(canonicalize(negate(strip_ids(cur))))
-    return replay(Derivation(concl), [(_DUAL[rule], want, None)]) is not None
-
-
-def check_derivation_detail(d: Derivation, system: str = "down") -> tuple[bool, str]:
+def check_derivation_detail(d: Derivation) -> tuple[bool, str]:
     """Validate every step at its recorded path; returns (ok, reason)."""
-    if system not in ("down", "full"):
-        raise DerivationError("system must be 'down' or 'full'")
     cur = d.conclusion
     if canonical_key(cur) != canonical_key(canonicalize(cur)):
         return False, "conclusion is not canonical"
     for i, st in enumerate(d.steps):
         inst = st.instance
-        if inst.rule in UP_RULES:
-            if system != "full":
-                return False, f"step {i}: up rule {inst.rule} outside full system"
-            ids_cur, ids_res = uid_set(cur), uid_set(st.result)
-            if inst.rule == AI_UP:
-                if not (ids_cur <= ids_res):
-                    return False, f"step {i}: inconsistent occurrence ids"
-            elif ids_cur != ids_res:
-                return False, f"step {i}: inconsistent occurrence ids"
-            if not _check_up_step(cur, st.result, inst.rule):
-                return False, f"step {i}: invalid {inst.rule} instance"
-            cur = st.result
-            continue
         if inst.rule not in DOWN_FRAGMENT:
-            return False, f"step {i}: unknown rule {inst.rule}"
+            return False, f"step {i}: unknown rule {inst.rule!r}"
         try:
             node = subterm_at(cur, inst.path)
         except StructureError:
@@ -662,8 +634,8 @@ def check_derivation_detail(d: Derivation, system: str = "down") -> tuple[bool, 
     return True, "ok"
 
 
-def check_derivation(d: Derivation, system: str = "down") -> bool:
-    return check_derivation_detail(d, system)[0]
+def check_derivation(d: Derivation) -> bool:
+    return check_derivation_detail(d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +683,8 @@ def derivation_from_dict(data: dict) -> Derivation:
     left-to-right numbering used when the derivation was emitted), and
     every step is re-located by matching rule, path and redex prints.
     Where several instances match a step (two identical atoms, say), the
-    choice is backtracked until the later steps match as well.
+    choice is backtracked until the later steps match as well.  A rule
+    outside the down fragment is rejected before any step is replayed.
     """
     conclusion = json_field(data, "conclusion", str, "derivation")
     steps = json_field(data, "steps", list, "derivation")
@@ -725,6 +698,8 @@ def derivation_from_dict(data: dict) -> Derivation:
                    for p in json_field(sd, "path", list, where, item=list)):
             raise ValueError(f"{where}: field 'path' is not a list of "
                              "[operator, index] pairs")
+        if sd["rule"] not in DOWN_FRAGMENT:
+            raise DerivationError(f"{where}: unknown rule {sd['rule']!r}")
     d, deepest = _backtrack(start_derivation(parse_structure(conclusion)),
                             steps, _json_candidates)
     if d is None:

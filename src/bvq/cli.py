@@ -165,7 +165,7 @@ def cmd_check(args) -> int:
         except calculus.DerivationError as e:
             ok, msg = False, str(e)
         else:
-            ok, msg = check_derivation_detail(d, args.system)
+            ok, msg = check_derivation_detail(d)
     _emit(args, {"valid": ok, "detail": msg}, msg if not ok else "valid")
     return 0 if ok else 1
 
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("derivation")
     p.add_argument("--lts", action="store_true",
                    help="validate a transition-system derivation instead")
-    p.add_argument("--system", choices=("down", "full"), default="down")
     common(p)
     p.set_defaults(fn=cmd_check)
 

@@ -15,7 +15,10 @@ fires on the process part of the conclusion with the atoms fired so far
 erased.  An interaction between two process atoms becomes a silent
 communication step, and one with the environment head a visible
 firing.  The steps left once every fired atom is erased, replayed once,
-become restriction merges.
+become restriction merges.  One recursion, ``_fire``, builds every node
+of each step: the firing, communication or merge at the lowest subterm
+holding its atoms, and a ``cntxp`` or ``res_pass`` for each context
+around it.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from typing import Iterable, Optional
 
 from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, SWITCH, U_DOWN, Derivation, RecipeEntry,
-    Step, _remove_children, apply_instance, breadth_first,
+    Step, apply_instance, breadth_first,
     check_derivation, derivation_to_dict, enumerate_instances, pairable,
     replay, same_occurrences, seq_number, start_derivation,
 )
 from .ccsr import (
-    LtsNode, Process, PZero, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
+    LtsNode, Process, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
     RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, canonical_process,
     chain_nodes, check_lts_derivation, from_structure, is_simple_process,
     lts_to_dict, process_congruent, refl_node, tran_node, to_structure,
@@ -40,9 +43,8 @@ from .bridge import actions_to_env, classify_structure, env_to_actions
 from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
-    canonical_key, canonicalize, erase_atoms, is_tensor_free,
-    iter_atoms, map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate,
-    replace_at, subterm_at, uid_set,
+    canonical_key, canonicalize, erase_atoms, is_tensor_free, iter_atoms,
+    map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate, uid_set,
 )
 
 
@@ -98,7 +100,8 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
     A state is a dead end when it fails ``calculus.pairable`` against
     ``nf``, the goal's canonical negation, with the environment atoms
     kept off ``nf``: then no derivation of it from the goal consumes the
-    environment.  A dead start is refuted before any state is generated.  A dead state is not expanded, and
+    environment.  A dead start is refuted before any state is generated,
+    and the start is tested only then.  A dead state is not expanded, and
     neither it nor any state it would generate reaches the goal, so every
     state that does is still generated by the same first parent, in the
     same order.  The first goal found and its path do not change; only
@@ -181,7 +184,7 @@ def _search(start: Structure, fragment: str, budget: SearchBudget,
         nonlocal pruned
         parent, inst, live = state
         s = parent if inst is None else apply_instance(parent, inst)
-        if dead(s):
+        if inst is not None and dead(s):  # the start was tested already
             pruned += 1
             return
         for inst, tree in enumerate_instances(s, _SEARCH_RULES):
@@ -303,103 +306,74 @@ def _process_part(concl: Structure, env_ids: frozenset[int]) -> Structure:
     raise ExtractionError("environment atoms are entangled with the process")
 
 
-def _single_fire(s: Structure, uid: int) -> tuple[LtsNode, Optional[Name], Structure]:
-    """Fire the prefix holding atom ``uid``; returns the step tree, the
-    visible label (None when a restriction hid it) and the fired
-    structure."""
-    if isinstance(s, Atom):
-        if s.uid != uid:
-            raise ExtractionError("atom does not match the firing occurrence")
-        return (LtsNode(RULE_ACT, _proc_of(s), PZero(), (s.name,)),
-                s.name, ONE)
-    if isinstance(s, Seq):
-        head = s.parts[0]
-        if not (isinstance(head, Atom) and head.uid == uid):
-            raise ExtractionError("a fired atom must head its prefix chain")
-        rest = canonicalize(mk_seq(s.parts[1:]))
-        return (LtsNode(RULE_ACT, _proc_of(s), _proc_of(rest), (head.name,)),
-                head.name, rest)
-    if isinstance(s, Par):
-        for i, p in enumerate(s.parts):
-            if uid in uid_set(p):
-                node, label, erased = _single_fire(p, uid)
-                out = canonicalize(mk_par(s.parts[:i] + (erased,) + s.parts[i + 1:]))
-                lbl: ActionSeq = (label,) if label is not None else SILENT
-                return (LtsNode(RULE_CNTXP, _proc_of(s), _proc_of(out), lbl, (node,)),
-                        label, out)
-        raise ExtractionError("occurrence not found")
+def _fire(s: Structure, ids: frozenset[int], merge: bool = False
+          ) -> tuple[LtsNode, Optional[Name], Structure]:
+    """Fire ``ids`` inside the process structure ``s``: one prefix head,
+    an interacting pair or, under ``merge``, the atoms of the two Par
+    siblings that a ``u_down`` step merges.  Returns the step tree, the
+    visible label (None when the step is silent) and the fired
+    structure.  The step is built at the lowest subterm holding every id:
+    an ``act`` at a prefix chain; at a Par with two holders a
+    ``res_merge`` of two scopes (with the firing inside, or a ``refl``
+    for a merge) or else a ``com`` of two single firings.  On the way out
+    each enclosing Par adds a ``cntxp`` and each enclosing restriction a
+    ``res_pass``, or a ``res_merge`` when it absorbs its own label."""
     if isinstance(s, Sdq):
-        node, label, erased = _single_fire(s.body, uid)
-        out = canonicalize(Sdq(s.binder, erased))
+        node, label, body = _fire(s.body, ids, merge)
+        out = canonicalize(Sdq(s.binder, body))
+        rule = RULE_RES_PASS
         if label is not None and label.base == s.binder.base:
             # the restriction absorbs its own action: read the source as
             # merged with a vacuous restriction of the same name
-            return (LtsNode(RULE_RES_MERGE, _proc_of(s), _proc_of(out),
-                            SILENT, (node,)), None, out)
-        lbl = (label,) if label is not None else SILENT
-        return (LtsNode(RULE_RES_PASS, _proc_of(s), _proc_of(out), lbl, (node,)),
-                label, out)
-    raise ExtractionError("cannot fire inside this structure")
-
-
-def _pair_base(s: Structure, i: int) -> str:
-    for a in iter_atoms(s):
-        if a.uid == i:
-            return a.name.base
-    raise ExtractionError("interaction pair not found in the process part")
-
-
-def _pair_fire(s: Structure, i: int, j: int) -> tuple[LtsNode, Structure]:
-    """Build the silent step annihilating atoms ``i`` and ``j`` inside the
-    process structure ``s`` and return it with the erased structure."""
-    if isinstance(s, Sdq):
-        node, erased = _pair_fire(s.body, i, j)
-        out = canonicalize(Sdq(s.binder, erased))
-        return (LtsNode(RULE_RES_PASS, _proc_of(s), _proc_of(out), SILENT, (node,)),
-                out)
-    if isinstance(s, Par):
-        holders = [k for k, p in enumerate(s.parts) if uid_set(p) & {i, j}]
+            rule, label = RULE_RES_MERGE, None
+    elif isinstance(s, Par):
+        holders = [p for p in s.parts if uid_set(p) & ids]
+        rest = [p for p in s.parts if not uid_set(p) & ids]
+        label = None
         if len(holders) == 1:
-            k = holders[0]
-            node, erased = _pair_fire(s.parts[k], i, j)
-            out = canonicalize(mk_par(s.parts[:k] + (erased,) + s.parts[k + 1:]))
-            return (LtsNode(RULE_CNTXP, _proc_of(s), _proc_of(out), SILENT, (node,)),
-                    out)
-        if len(holders) != 2:
-            raise ExtractionError("interaction pair not found in the process part")
-        ka, kb = holders
-        ca, cb = s.parts[ka], s.parts[kb]
-        base = _pair_base(s, i)
-        if isinstance(ca, Sdq) and isinstance(cb, Sdq) and \
-                ca.binder == cb.binder and ca.binder.base == base:
-            # communication on the restricted name: merge the scopes
-            inner = canonicalize(mk_par([ca.body, cb.body]))
-            node, erased_inner = _pair_fire(inner, i, j)
-            merged = canonicalize(Sdq(ca.binder, erased_inner))
-            core = LtsNode(RULE_RES_MERGE,
-                           _proc_of(canonicalize(mk_par([ca, cb]))),
-                           _proc_of(merged), SILENT, (node,))
-            rest = [s.parts[k] for k in range(len(s.parts)) if k not in (ka, kb)]
-            out = canonicalize(mk_par([merged] + rest))
-            if rest:
-                core = LtsNode(RULE_CNTXP, _proc_of(s), _proc_of(out), SILENT, (core,))
-            return core, out
-        ua = i if i in uid_set(ca) else j
-        ub = j if ua == i else i
-        na, la, ea = _single_fire(ca, ua)
-        nb, lb, eb = _single_fire(cb, ub)
-        if la is None or lb is None or la != lb.complement():
-            raise ExtractionError("interaction pair does not expose "
-                                  "complementary actions")
-        parts = list(s.parts)
-        parts[ka], parts[kb] = ea, eb
-        out = canonicalize(mk_par(parts))
-        core = LtsNode(RULE_COM, _proc_of(canonicalize(mk_par([ca, cb]))),
-                       _proc_of(canonicalize(mk_par([ea, eb]))), SILENT, (na, nb))
-        if len(s.parts) > 2:
-            core = LtsNode(RULE_CNTXP, _proc_of(s), _proc_of(out), SILENT, (core,))
-        return core, out
-    raise ExtractionError("interaction pair sits under a prefix")
+            node, label, out = _fire(holders[0], ids, merge)
+        elif len(holders) != 2:
+            raise ExtractionError("fired atoms not found in the process part")
+        elif merge or _same_scope(*holders, ids):
+            # a quantifier step, or a communication on the restricted
+            # name: merge the two scopes
+            scope = next(p for p in holders if isinstance(p, Sdq))
+            body = canonicalize(mk_par([p.body if isinstance(p, Sdq) else p
+                                        for p in holders]))
+            if merge:
+                node, fired = refl_node(_proc_of(body)), body
+            else:
+                node, _, fired = _fire(body, ids)
+            out = canonicalize(Sdq(scope.binder, fired))
+            node = LtsNode(RULE_RES_MERGE, _proc_of(canonicalize(mk_par(holders))),
+                           _proc_of(out), SILENT, (node,))
+        else:
+            (na, la, ea), (nb, lb, eb) = (_fire(p, ids & uid_set(p)) for p in holders)
+            if la is None or lb is None or la != lb.complement():
+                raise ExtractionError("interaction pair does not expose "
+                                      "complementary actions")
+            out = canonicalize(mk_par([ea, eb]))
+            node = LtsNode(RULE_COM, _proc_of(canonicalize(mk_par(holders))),
+                           _proc_of(out), SILENT, (na, nb))
+        if not rest:
+            return node, label, out
+        rule, out = RULE_CNTXP, canonicalize(mk_par([out] + rest))
+    else:
+        head = s.parts[0] if isinstance(s, Seq) else s
+        if not (isinstance(head, Atom) and ids == {head.uid}):
+            raise ExtractionError("a fired atom must head its prefix chain")
+        out = ONE if head is s else canonicalize(mk_seq(s.parts[1:]))
+        return (LtsNode(RULE_ACT, _proc_of(s), _proc_of(out), (head.name,)),
+                head.name, out)
+    lbl: ActionSeq = SILENT if label is None else (label,)
+    return LtsNode(rule, _proc_of(s), _proc_of(out), lbl, (node,)), label, out
+
+
+def _same_scope(ca: Structure, cb: Structure, ids: frozenset[int]) -> bool:
+    """Two restrictions of one name whose interaction is on that name."""
+    return (isinstance(ca, Sdq) and isinstance(cb, Sdq) and ca.binder == cb.binder
+            and any(a.name.base == ca.binder.base
+                    for a in iter_atoms(ca) if a.uid in ids))
 
 
 def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
@@ -412,40 +386,7 @@ def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
             raise ExtractionError(
                 "a trivial residue from a simple premise may only merge "
                 f"restrictions, found {st.rule}")
-        inst = st.instance
-        c1, c2 = inst.consumed
-        binder = c1.binder if isinstance(c1, Sdq) else c2.binder  # type: ignore[union-attr]
-        body1 = c1.body if isinstance(c1, Sdq) else c1
-        body2 = c2.body if isinstance(c2, Sdq) else c2
-        inner_struct = canonicalize(mk_par([body1, body2]))
-        merged = canonicalize(Sdq(binder, inner_struct))
-        node = LtsNode(RULE_RES_MERGE,
-                       _proc_of(canonicalize(mk_par([c1, c2]))),
-                       _proc_of(merged), SILENT,
-                       (refl_node(_proc_of(inner_struct)),))
-        # wrap outward along the redex path
-        new_sub: Structure = merged
-        spine: list[tuple[Structure, tuple[str, int]]] = []
-        walk = cur
-        for op, idx in inst.path:
-            spine.append((walk, (op, idx)))
-            walk = subterm_at(walk, ((op, idx),))
-        redex_node = walk
-        if isinstance(redex_node, Par) and len(redex_node.parts) > 2:
-            rest = _remove_children(redex_node.parts, (c1, c2))
-            if rest is None:
-                raise ExtractionError("merged restrictions not found at the redex")
-            whole = canonicalize(mk_par([merged] + rest))
-            node = LtsNode(RULE_CNTXP, _proc_of(redex_node), _proc_of(whole),
-                           SILENT, (node,))
-            new_sub = whole
-        for host, (op, idx) in reversed(spine):
-            if op not in ("par", "fo"):
-                raise ExtractionError("quantifier step below a prefix")
-            after = canonicalize(replace_at(host, ((op, idx),), new_sub))
-            rule = RULE_CNTXP if op == "par" else RULE_RES_PASS
-            node = LtsNode(rule, _proc_of(host), _proc_of(after), SILENT, (node,))
-            new_sub = after
+        node, _, _ = _fire(cur, uid_set(mk_par(st.instance.consumed)), merge=True)
         nodes.append(LtsNode(node.rule, _proc_of(cur), _proc_of(st.result),
                              SILENT, node.children))
         cur = st.result
@@ -496,22 +437,17 @@ def _extract(d: Derivation, e: Process, f: Process,
     for st in d.steps:
         if st.rule not in (AI_DOWN, AI_DOWN_LEFT):
             continue
-        pair = tuple(sorted(st.instance.consumed_ids))
-        env_hits = [u for u in pair if u in env_ids]
+        pair = st.instance.consumed_ids
+        env_hits = pair & env_ids
         if len(env_hits) == 2:
             raise ExtractionError("environment atoms may not annihilate each other")
-        if env_hits:
-            if env_hits[0] != min(live - fired):
-                raise ExtractionError("the environment must be consumed from the left")
-            proc_atom = pair[0] if pair[1] == env_hits[0] else pair[1]
-            node, label, after = _single_fire(proc_part, proc_atom)
-            lbl: ActionSeq = (label,) if label is not None else SILENT
-        else:
-            node, after = _pair_fire(proc_part, *pair)
-            lbl = SILENT
+        if env_hits and min(env_hits) != min(live - fired):
+            raise ExtractionError("the environment must be consumed from the left")
+        node, label, after = _fire(proc_part, pair - env_hits)
         g = _proc_of(after)
-        nodes.append(LtsNode(node.rule, src, g, lbl, node.children))
-        fired |= st.instance.consumed_ids
+        nodes.append(LtsNode(node.rule, src, g, SILENT if label is None else (label,),
+                             node.children))
+        fired |= pair
         proc_part = _process_part(_erase(d.conclusion, fired), env_ids)
         if not process_congruent(_proc_of(proc_part), g):
             raise ExtractionError("the erased conclusion does not read as the step")

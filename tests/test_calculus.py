@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvq import calculus
 from bvq.calculus import (
-    AI_DOWN, AI_DOWN_LEFT, AI_UP, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
+    AI_DOWN, AI_DOWN_LEFT, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance,
     breadth_first, pairable, check_derivation, check_derivation_detail, derivation_from_dict,
     derivation_length, derivation_to_dict, enumerate_instances, extend,
@@ -15,7 +15,7 @@ from bvq.calculus import (
 from bvq.structures import (
     Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
     canonicalize, free_bases, iter_atoms, mk_par, mk_seq, negate,
-    parse_structure, print_structure, size, strip_ids, uid_set,
+    parse_structure, print_structure, size, uid_set,
 )
 
 
@@ -131,34 +131,6 @@ def test_every_instance_yields_checking_step():
         for inst in instances(s)[:20]:
             one = extend(Derivation(s), inst)
             assert check_derivation(one)
-
-
-def test_up_rule_duality():
-    # an up step is valid iff negating and swapping yields a down step
-    d = _internal_comm_derivation()
-    for st in d.steps:
-        lower = canonicalize(negate(strip_ids(st.result)))
-        upper_struct = st.result
-        dual_rule = {AI_DOWN: "ai_up", Q_DOWN: "q_up", U_DOWN: "u_up"}[
-            st.rule if st.rule != AI_DOWN_LEFT else AI_DOWN]
-        up = Derivation(
-            start_derivation(lower, number=False).conclusion,
-            (Step(RuleInstance(dual_rule, (), (), ONE, frozenset()),
-                  canonicalize(negate(strip_ids(
-                      d.conclusion if st is d.steps[0] else d.steps[0].result)))),))
-        # endpoints negated and swapped must validate in the full system
-        assert check_derivation(up, system="full")
-
-
-def test_full_system_rejects_an_up_step_no_down_step_mirrors():
-    def up_step(upper):
-        inst = RuleInstance(AI_UP, (), (), ONE, frozenset())
-        return Derivation(structure("b"), (Step(inst, structure(upper)),))
-
-    assert check_derivation_detail(up_step("[b;(a;~c)]"), system="full") == \
-        (False, "step 0: invalid ai_up instance")
-    assert check_derivation_detail(up_step("[b;(a;~a)]"), system="full") == \
-        (True, "ok")
 
 
 @settings(max_examples=30, deadline=None)

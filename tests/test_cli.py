@@ -252,6 +252,16 @@ def test_well_formed_json_still_checks(capsys, monkeypatch):
     assert code == 1 and "no matching ai_down instance" in out
 
 
+@pytest.mark.parametrize("rule", ["ai_up", "q_up", "u_up", "cut"])
+def test_check_names_a_rule_outside_the_down_fragment(capsys, monkeypatch, rule):
+    data = {"conclusion": "[a;~a]", "steps": [dict(GOOD_STEP, rule=rule)]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, _ = run(capsys, "check", "-")
+    assert (code, out) == (1, f"step 0: unknown rule '{rule}'\n")
+    code, out, _ = run(capsys, "check", "-", "--system", "full")
+    assert code == 2 and not out
+
+
 @pytest.mark.parametrize("argv", [
     ("lts", "a.0", "0", "a", "--depth", "-1"),
     ("selftest", "--processes", "-1"),

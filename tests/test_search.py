@@ -117,6 +117,23 @@ def test_reach_to_a_target_that_keeps_atoms_is_pruned(monkeypatch):
     assert got == want
 
 
+def test_the_dead_end_test_runs_once_per_expanded_state(monkeypatch):
+    # the start is tested once, before the search, and not again when it
+    # is expanded: every other test either prunes a state or lets it
+    # generate its instances
+    tested, expanded = [], []
+    pairable, enumerate_instances = search.pairable, search.enumerate_instances
+    monkeypatch.setattr(search, "pairable",
+                        lambda *args: tested.append(args) or pairable(*args))
+    monkeypatch.setattr(search, "enumerate_instances",
+                        lambda *args: expanded.append(args) or enumerate_instances(*args))
+    v = reach(parse_process("nu a.(a.b.0|~a.0)|c.0"), parse_process("nu a.(0|0)"),
+              parse_actions("b;c"))
+    assert v.proved
+    assert (v.stats.steps, v.stats.visited, v.stats.pruned) == (1099, 823, 316)
+    assert len(tested) == len(expanded) + v.stats.pruned == 409
+
+
 @pytest.mark.parametrize("e_t, alpha_t", [
     (".".join(f"x{i}" for i in range(6)) + ".0",
      ";".join(f"x{i}" for i in range(6))),
@@ -432,7 +449,9 @@ def _witness_lines(node: dict, depth: int = 0) -> list[str]:
 
 
 # restriction merges read off the steps left once every fired atom is
-# erased; the last two fire a prefix first, so that residue is replayed
+# erased; the second and third fire a prefix first, so that residue is
+# replayed; the fourth merges under a restriction and beside a
+# component; the last communicates on the restricted name
 MERGE_WITNESSES = [
     (("nu a.a.0|nu a.a.0", "nu a.(a.0|a.0)", "tau"), [
         "res_merge (nu a.a.0|nu a.a.0) -tau-> nu a.(a.0|a.0)",
@@ -457,6 +476,21 @@ MERGE_WITNESSES = [
         "        act c.a.0 -c-> a.0",
         "  res_merge (nu a.a.0|nu a.(a.0|a.0)) -tau-> nu a.((a.0|a.0)|a.0)",
         "    refl ((a.0|a.0)|a.0) -tau-> ((a.0|a.0)|a.0)",
+    ]),
+    (("nu b.(b.0|nu a.a.0|nu a.a.0)", "nu b.(b.0|nu a.(a.0|a.0))", "tau"), [
+        "res_pass nu a.((a.0|nu b.b.0)|nu b.b.0) -tau-> nu a.(a.0|nu b.(b.0|b.0))",
+        "  cntxp ((a.0|nu b.b.0)|nu b.b.0) -tau-> (a.0|nu b.(b.0|b.0))",
+        "    res_merge (nu a.a.0|nu a.a.0) -tau-> nu a.(a.0|a.0)",
+        "      refl (b.0|b.0) -tau-> (b.0|b.0)",
+    ]),
+    (("nu a.a.0|nu a.~a.0|c.0", "c.0", "tau"), [
+        "tran ((c.0|nu a.a.0)|nu a.~a.0) -tau-> c.0",
+        "  cntxp ((c.0|nu a.a.0)|nu a.~a.0) -tau-> c.0",
+        "    res_merge (nu a.a.0|nu a.~a.0) -tau-> 0",
+        "      com (a.0|~a.0) -tau-> 0",
+        "        act a.0 -a-> 0",
+        "        act ~a.0 -~a-> 0",
+        "  refl c.0 -tau-> c.0",
     ]),
 ]
 

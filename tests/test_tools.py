@@ -34,14 +34,44 @@ def test_corpus_diff_of_a_tree_against_itself_reports_no_difference():
 
 
 def test_corpus_diff_runs_every_workload_of_repeated_flags():
-    # 6 prove_closure ops and 16 reach_oracle ops: each flag adds its
-    # workload to the ones named before it
+    # 6 prove_closure ops, 16 reach_oracle ops and 1 of the merge group:
+    # each flag adds its workload to the ones named before it
     out = _corpus_diff(ROOT, "prove_closure", "reach_oracle")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[-3] == "22 ops compared, 0 differ"
-    assert [ln.split(":")[0] for ln in lines[-2:]] == [
-        "total prove_closure", "total reach_oracle"]
+    assert lines[-4] == "23 ops compared, 0 differ"
+    assert [ln.split(":")[0] for ln in lines[-3:]] == [
+        "total prove_closure", "total reach_oracle", "total merges"]
+
+
+def test_every_judgment_of_the_merge_group_is_proved_by_a_merge(capsys):
+    from bvq.cli import main
+
+    name, group = _tool(CORPUS_DIFF).merge_group()
+    assert name == "merges" and len(group) == 24
+    assert len({tuple(op["argv"]) for op in group}) == 24
+    for op in group:
+        assert main(op["argv"]) == 0, op["argv"]
+        witness = json.loads(capsys.readouterr().out)["ltsWitness"]
+        assert '"res_merge"' in json.dumps(witness), op["argv"]
+
+
+def test_corpus_diff_compares_merge_witnesses_no_corpus_op_holds(tmp_path):
+    # the copy prints the rule res_merge under another name: of every
+    # 100th reach corpus op and merge judgment, only the merge differs
+    _copy_src(tmp_path)
+    ccsr = tmp_path / "src" / "bvq" / "ccsr.py"
+    text = ccsr.read_text()
+    line = 'RULE_RES_MERGE = "res_merge"'
+    assert text.count(line) == 1
+    ccsr.write_text(text.replace(line, 'RULE_RES_MERGE = "res_merge_"'))
+    out = _corpus_diff(str(tmp_path), "reach_oracle")
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("merges 0: digest ")
+    assert lines[0].endswith("; output fields ltsWitness")
+    assert lines[1:-2] == ["field ltsWitness differs in 1 ops",
+                           "17 ops compared, 1 differ"]
 
 
 def test_corpus_diff_names_the_ops_whose_certificate_changed(tmp_path):
@@ -109,9 +139,10 @@ def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
         import ops
     finally:
         sys.path.pop(0)
-    for w, total in zip(("prove_closure", "reach_oracle"), lines[-2:]):
-        stats = [json.loads(ops.execute(op).out)["stats"]
-                 for op in corpus.load(w)["ops"][::100]]
+    groups = {w: corpus.load(w)["ops"] for w in ("prove_closure", "reach_oracle")}
+    groups["merges"] = _tool(CORPUS_DIFF).merge_group()[1]
+    for (w, group), total in zip(groups.items(), lines[-3:]):
+        stats = [json.loads(ops.execute(op).out)["stats"] for op in group[::100]]
         steps = sum(s["steps"] for s in stats)
         visited = sum(s["visited"] for s in stats)
         moved = sum(ln.startswith(f"{w} ") for ln in lines)
@@ -120,8 +151,9 @@ def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
                          f"visited {visited} (here) vs {visited}")
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+def _tool(path):
+    spec = importlib.util.spec_from_file_location(
+        os.path.splitext(os.path.basename(path))[0], path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -134,7 +166,7 @@ def _result_line(failed, **metrics):
 
 
 def test_bench_pairs_summary_counts_wins_and_reads_each_direction():
-    tool = _bench_pairs()
+    tool = _tool(BENCH_PAIRS)
     # ten pairs: the change is faster in nine, its memory 40 % higher in all
     lines = [(_result_line(0, **{"w/ops_per_s": 20 + i % 3, "w/peak_rss_mb": 30.0,
                                  "w/trace.ops": 7}),

@@ -19,7 +19,10 @@ acceptance criterion 5 (``random.Random(20260808)``, 12 atoms, 8
 steps), and ``random_proofs``, a fixed sweep of 1,000 (five draws from
 ``random.Random(seed)`` for each seed 0-99, at 12 atoms/8 steps and at
 8 atoms/6 steps).  They are drawn once, with this checkout's ``bvq``,
-and handed to both trees.
+and handed to both trees.  With ``reach_oracle``, the group ``merges``
+is run through ``bvq reach`` as well: 24 judgments whose witnesses merge
+sibling restrictions of one name (``merge_group``), which no corpus
+witness does.
 
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
@@ -61,6 +64,25 @@ def random_proof_groups() -> list[tuple[str, list[dict]]]:
                     for k, d in enumerate(proofs)])
             for name, proofs in (("criterion_5", criterion_5),
                                  ("random_proofs", sweep))]
+
+
+def merge_group() -> tuple[str, list[dict]]:
+    """The group ``merges`` as ``bvq reach`` operations: two or three
+    sibling restrictions of one name that merge on their own, after a
+    communication on the name or after a visible firing, each bare,
+    beside a free component and under another restriction, each with two
+    pairs of bodies."""
+    meets = [("nu a.{P}|nu a.{Q}", "nu a.({P}|{Q})", "tau"),
+             ("nu a.{P}|nu a.{Q}|nu a.a.0", "nu a.({P}|{Q}|a.0)", "tau"),
+             ("nu a.a.{P}|nu a.~a.0|{Q}", "nu a.{P}|{Q}", "tau"),
+             ("x.nu a.{P}|nu a.{Q}", "nu a.({P}|{Q})", "x")]
+    contexts = ["{}", "c.0|{}", "nu b.(b.0|{})"]
+    bodies = [("a.0", "a.0"), ("a.0", "b.0")]
+    judgments = [(ctx.format(e.format(P=p, Q=q)), ctx.format(f.format(P=p, Q=q)),
+                  alpha)
+                 for e, f, alpha in meets for ctx in contexts for p, q in bodies]
+    return "merges", [{"id": k, "argv": ["reach", e, f, alpha, "--json"]}
+                      for k, (e, f, alpha) in enumerate(judgments)]
 
 
 def run_ops(workloads: list[str], every: int,
@@ -137,10 +159,11 @@ def main(argv=None) -> int:
     if not args.against:
         ap.error("--against is required")
     trees = (ROOT, args.against)
-    extra = json.dumps(random_proof_groups()
-                       if "standardize_battery" in args.workload else [])
+    extra = [merge_group()] if "reach_oracle" in args.workload else []
+    if "standardize_battery" in args.workload:
+        extra += random_proof_groups()
     with tempfile.TemporaryFile("w+") as a, tempfile.TemporaryFile("w+") as b:
-        procs = [_spawn(t, args.workload, args.every, extra, f)
+        procs = [_spawn(t, args.workload, args.every, json.dumps(extra), f)
                  for t, f in zip(trees, (a, b))]
         here, there = (_records(p, f, t) for p, f, t in zip(procs, (a, b), trees))
     differ = 0
