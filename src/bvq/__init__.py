@@ -16,11 +16,11 @@ from .standardize import (
 from .ccsr import (
     ActionSeq, LtsNode, Process, actions_normalize, check_lts_derivation,
     is_simple_process, lts_reachable, lts_steps, parse_actions, parse_process,
-    print_actions, print_process, process_congruent,
+    print_actions, print_process,
 )
 from .bridge import (
     StructureKinds, actions_to_env, classify_structure, env_to_actions,
-    from_structure, is_trivial_derivation, to_structure,
+    is_trivial_derivation,
 )
 from .search import (
     ReachVerdict, SearchBudget, consumes, derive, extract_lts, prove, reach,

@@ -1,18 +1,16 @@
-"""Translations between processes and structures, structure classifiers,
-and the environment/action maps.
+"""Structure classifiers and the environment/action maps.
 
-The process map is the usual isomorphism: the inactive process is the
-unit, a prefix is a Seq, parallel composition is Par, restriction is the
-quantifier.  The map itself lives in ``ccsr``, which decides process
-congruence through it, and is re-exported here.  An environment
-structure is a canonical list of labels, possibly under quantifiers that
-scope over suffixes of the list; it records the messages exchanged with
-the environment.  Because an atom
-only ever annihilates against its complement, the environment structure
-for an observable action carries the complementary label: turning an
-action sequence into an environment structure complements each label,
-and reading an environment structure back complements again (bound
-labels read as silent).
+The process map is no function: ``ccsr`` parses a process as the
+structure it denotes (the inactive process is the unit, a prefix a Seq,
+parallel composition Par, restriction the quantifier), so the
+classifiers read process structures directly.  An environment structure
+is a canonical list of labels, possibly under quantifiers that scope
+over suffixes of the list; it records the messages exchanged with the
+environment.  Because an atom only ever annihilates against its
+complement, the environment structure for an observable action carries
+the complementary label: turning an action sequence into an environment
+structure complements each label, and reading an environment structure
+back complements again (bound labels read as silent).
 """
 
 from __future__ import annotations
@@ -23,13 +21,16 @@ from .calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, DerivationError, check_derivation,
 )
 from .ccsr import (
-    TAU, Action, ActionSeq, BridgeError, SILENT, actions_normalize,
-    from_structure, to_structure,
+    TAU, Action, ActionSeq, SILENT, actions_normalize, is_simple_process,
 )
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, canonicalize,
     is_tensor_free, mk_seq, names,
 )
+
+
+class BridgeError(ValueError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +79,6 @@ def _is_env_shape(s: Structure) -> bool:
     return False
 
 
-def _is_simple_shape(s: Structure) -> bool:
-    if isinstance(s, (One, Atom)):
-        return True
-    if isinstance(s, Par):
-        return all(_is_simple_shape(p) for p in s.parts)
-    if isinstance(s, Sdq):
-        return _is_simple_shape(s.body)
-    return False
-
-
 def _no_complement_pair(s: Structure) -> bool:
     free, bound = names(s)
     occurring = {n for n in free | bound}
@@ -108,11 +99,10 @@ def _is_invertible_shape(s: Structure) -> bool:
 
 def classify_structure(s: Structure) -> StructureKinds:
     c = canonicalize(s)
-    simple = _is_simple_shape(c) and _no_complement_pair(c)
     return StructureKinds(
         is_process=_is_process_shape(c),
         is_environment=isinstance(c, One) or _is_env_shape(c),
-        is_simple=simple,
+        is_simple=is_simple_process(c),
         is_invertible=_is_invertible_shape(c),
         is_tensor_free=is_tensor_free(c),
     )
@@ -122,10 +112,10 @@ def classify_structure(s: Structure) -> StructureKinds:
 # environment structures <-> action sequences
 # ---------------------------------------------------------------------------
 
-def env_to_actions(s: Structure, hidden: frozenset[Name] = frozenset()) -> ActionSeq:
+def env_to_actions(s: Structure) -> ActionSeq:
     """Read an environment structure as the action sequence it lets the
     process perform: each free label contributes the complementary
-    action, labels under a quantifier (or in ``hidden``) are silent."""
+    action, labels under a quantifier are silent."""
     c = canonicalize(s)
     if not (isinstance(c, One) or _is_env_shape(c)):
         raise BridgeError("not an environment structure")
@@ -144,7 +134,7 @@ def env_to_actions(s: Structure, hidden: frozenset[Name] = frozenset()) -> Actio
             walk(t.body, hid | {Name(t.binder.base, True),
                                 Name(t.binder.base, False)})
 
-    walk(c, frozenset(hidden))
+    walk(c, frozenset())
     return actions_normalize(tuple(items))
 
 

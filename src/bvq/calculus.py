@@ -117,10 +117,8 @@ def derivation_length(d: Derivation) -> int:
     return len(d.steps)
 
 
-def start_derivation(s: Structure, number: bool = True) -> Derivation:
-    s = canonicalize(s)
-    if number:
-        s, _ = assign_ids(s)
+def start_derivation(s: Structure) -> Derivation:
+    s, _ = assign_ids(canonicalize(s))
     return Derivation(s)
 
 

@@ -1,6 +1,13 @@
-"""The process calculus: terms, structural congruence, action sequences,
-the labeled transition system, a derivation checker for it, and a
-brute-force reachability oracle.
+"""The process calculus: processes, structural congruence, action
+sequences, the labeled transition system, a derivation checker for it,
+and a brute-force reachability oracle.
+
+A process is its structure: the inactive process is the unit, a prefix
+``l.P`` is the Seq ``<l;P>``, parallel composition is Par and
+restriction the quantifier.  ``parse_process`` builds that image
+directly and ``print_process`` prints a process-shaped structure in
+process syntax, so processes share the one canonicalizer and the one
+congruence of ``structures``.
 
 Restriction here is logic-driven: beside the usual pass-through rule,
 two restrictions of the same name standing side by side may merge while
@@ -9,20 +16,17 @@ permissive than Milner-style restriction.  ``milner_mode`` switches the
 merge rule off so the contrast can be observed.
 
 The transition relation is explored over congruence classes: states are
-canonical forms, and the canonical serialization is the quotient key.
-Both come from the process's image under the process map
-(``to_structure``), so processes share the one canonicalizer of
-``structures``.
+canonical forms, and the canonical key is the quotient key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .structures import (
-    _IDENT_START, Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure,
-    _Scanner, canonical_key, canonicalize, json_field, mk_seq,
+    _IDENT_START, Atom, Name, ONE, One, Par, Sdq, Seq, Structure, _Scanner,
+    canonical_key, canonicalize, congruent, json_field, mk_seq, names,
 )
 
 TAU = None  # the silent action; an ActionSeq is a tuple over Name | TAU
@@ -31,37 +35,16 @@ ActionSeq = tuple[Action, ...]
 
 SILENT: ActionSeq = (TAU,)
 
+Process = Structure  # a process-shaped structure
+ZERO = ONE
+
 
 class ProcessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PZero:
-    pass
-
-
-@dataclass(frozen=True)
-class PPrefix:
-    label: Name
-    body: "Process"
-
-
-@dataclass(frozen=True)
-class PPar:
-    left: "Process"
-    right: "Process"
-
-
-@dataclass(frozen=True)
-class PNu:
-    name: Name  # positive
-    body: "Process"
-
-
-Process = Union[PZero, PPrefix, PPar, PNu]
-
-ZERO = PZero()
+def prefix(label: Name, body: Process) -> Process:
+    return Seq((Atom(label), body))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +80,7 @@ def _parse_term(sc: _Scanner) -> Process:
     if ch == "~":
         label = _action(sc)
         sc.expect(".")
-        return PPrefix(label, _parse_term(sc))
+        return prefix(label, _parse_term(sc))
     if ch in _IDENT_START:
         word = sc.ident()
         if word == "nu":
@@ -108,11 +91,11 @@ def _parse_term(sc: _Scanner) -> Process:
                 sc.error("restriction binds a positive name")
             base = sc.ident()
             sc.expect(".")
-            return PNu(Name(base), _parse_term(sc))
+            return Sdq(Name(base), _parse_term(sc))
         if word in _RESERVED:
             sc.error(f"{word!r} is reserved")
         sc.expect(".")
-        return PPrefix(Name(word), _parse_term(sc))
+        return prefix(Name(word), _parse_term(sc))
     sc.error(f"unexpected character {ch!r}")
 
 
@@ -120,11 +103,14 @@ def _parse_par(sc: _Scanner) -> Process:
     p = _parse_term(sc)
     while sc.peek() == "|":
         sc.pos += 1
-        p = PPar(p, _parse_term(sc))
+        p = Par((p, _parse_term(sc)))
     return p
 
 
 def parse_process(text: str) -> Process:
+    """The structure a process denotes, as written: ``0`` is the unit,
+    ``l.P`` the Seq ``<l;P>``, ``P|Q`` a binary Par and ``nu a.P`` the
+    quantifier."""
     sc = _Scanner(text, ProcessError)
     try:
         p = _parse_par(sc)
@@ -137,14 +123,22 @@ def parse_process(text: str) -> Process:
 
 
 def print_process(p: Process) -> str:
-    if isinstance(p, PZero):
+    """A process-shaped structure in process syntax; an n-ary Par prints
+    left-nested, as ``par_of`` nests it."""
+    if isinstance(p, One):
         return "0"
-    if isinstance(p, PPrefix):
-        return f"{p.label}.{print_process(p.body)}"
-    if isinstance(p, PPar):
-        return f"({print_process(p.left)}|{print_process(p.right)})"
-    if isinstance(p, PNu):
-        return f"nu {p.name.base}.{print_process(p.body)}"
+    if isinstance(p, Atom):
+        return f"{p.name}.0"
+    if isinstance(p, Seq) and all(isinstance(h, Atom) for h in p.parts[:-1]):
+        heads = "".join(f"{h.name}." for h in p.parts[:-1])
+        return heads + print_process(p.parts[-1])
+    if isinstance(p, Par):
+        out = print_process(p.parts[0])
+        for q in p.parts[1:]:
+            out = f"({out}|{print_process(q)})"
+        return out
+    if isinstance(p, Sdq):
+        return f"nu {p.binder.base}.{print_process(p.body)}"
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -178,124 +172,47 @@ def hide_actions(alpha: ActionSeq, base: str) -> ActionSeq:
 
 
 # ---------------------------------------------------------------------------
-# names, congruence
+# components, simple processes
 # ---------------------------------------------------------------------------
 
-def free_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, PZero):
-        return frozenset()
-    if isinstance(p, PPrefix):
-        return free_names(p.body) | {p.label}
-    if isinstance(p, PPar):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, PNu):
-        return frozenset(n for n in free_names(p.body) if n.base != p.name.base)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _par_list(p: Process) -> list[Process]:
-    if isinstance(p, PPar):
-        return _par_list(p.left) + _par_list(p.right)
-    return [p]
+def _components(p: Process) -> list[Process]:
+    """The Par components of the canonical form of ``p``."""
+    c = canonicalize(p)
+    return list(c.parts) if isinstance(c, Par) else [c]
 
 
 def par_of(items: list[Process]) -> Process:
-    items = [q for q in items if not isinstance(q, PZero)]
+    """The left-nested binary Par of ``items`` without the units."""
+    items = [q for q in items if not isinstance(q, One)]
     if not items:
         return ZERO
     out = items[0]
     for q in items[1:]:
-        out = PPar(out, q)
+        out = Par((out, q))
     return out
 
 
-class BridgeError(ValueError):
-    pass
-
-
-def to_structure(e: Process) -> Structure:
-    """The isomorphic image of a process; returned raw, not canonical."""
-    if isinstance(e, PZero):
-        return ONE
-    if isinstance(e, PPrefix):
-        return Seq((Atom(e.label), to_structure(e.body)))
-    if isinstance(e, PPar):
-        return Par((to_structure(e.left), to_structure(e.right)))
-    if isinstance(e, PNu):
-        return Sdq(e.name, to_structure(e.body))
-    raise TypeError(f"not a process: {e!r}")
-
-
-def from_structure(s: Structure) -> Process:
-    """Inverse of the process map on process structures."""
-    if isinstance(s, One):
-        return ZERO
-    if isinstance(s, Atom):
-        return PPrefix(s.name, ZERO)
-    if isinstance(s, Seq):
-        head = s.parts[0]
-        if not isinstance(head, Atom):
-            raise BridgeError("a Seq in a process structure starts with a label")
-        return PPrefix(head.name, from_structure(mk_seq(s.parts[1:])))
-    if isinstance(s, Par):
-        return par_of([from_structure(p) for p in s.parts])
-    if isinstance(s, Sdq):
-        return PNu(s.binder, from_structure(s.body))
-    if isinstance(s, CoPar):
-        raise BridgeError("CoPar does not occur in process structures")
-    raise TypeError(f"not a structure: {s!r}")
-
-
-def _proc_canonical(p: Process) -> tuple[str, Process]:
-    """Congruence is decided on the structure image: the key is the
-    image's canonical key and the canonical process reads back the
-    image's canonical form, so Par components follow structure keys."""
-    hit = getattr(p, "_cc", None)
-    if hit is not None:
-        return hit
-    image = to_structure(p)
-    out = from_structure(canonicalize(image))
-    pair = (canonical_key(image), out)
-    object.__setattr__(p, "_cc", pair)
-    if out is not p:
-        object.__setattr__(out, "_cc", pair)
-    return pair
-
-
-def canonical_process(p: Process) -> Process:
-    return _proc_canonical(p)[1]
-
-
-def process_key(p: Process) -> str:
-    return _proc_canonical(p)[0]
-
-
-def process_congruent(e: Process, f: Process) -> bool:
-    return process_key(e) == process_key(f)
+process_key = canonical_key
 
 
 def is_simple_process(e: Process) -> bool:
     """Parallel compositions and restrictions of the inactive process and
     single prefixes, with no prefix occurring next to its complement.
     Decided on the canonical form, so the notion respects congruence."""
-    prefixes: list[Name] = []
+    prefixes: set[Name] = set()
 
-    def shape(p: Process) -> bool:
-        if isinstance(p, PZero):
+    def shape(s: Structure) -> bool:
+        if isinstance(s, Atom):
+            prefixes.add(s.name)
             return True
-        if isinstance(p, PPrefix):
-            prefixes.append(p.label)
-            return isinstance(p.body, PZero)
-        if isinstance(p, PPar):
-            return shape(p.left) and shape(p.right)
-        if isinstance(p, PNu):
-            return shape(p.body)
-        return False
+        if isinstance(s, Par):
+            return all(shape(p) for p in s.parts)
+        if isinstance(s, Sdq):
+            return shape(s.body)
+        return isinstance(s, One)
 
-    if not shape(canonical_process(e)):
-        return False
-    labels = set(prefixes)
-    return not any(l.complement() in labels for l in labels)
+    return shape(canonicalize(e)) and \
+        not any(l.complement() in prefixes for l in prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +223,6 @@ RULE_ACT = "act"
 RULE_COM = "com"
 RULE_CNTXP = "cntxp"
 RULE_RES_PASS = "res_pass"
-RULE_RES_HIDE = "res_hide"
 RULE_RES_MERGE = "res_merge"
 RULE_REFL = "refl"
 RULE_TRAN = "tran"
@@ -339,21 +255,22 @@ def chain_nodes(nodes: list[LtsNode]) -> LtsNode:
 
 def _steps_raw(e: Process, milner: bool) -> Iterator[tuple[Process, Action, LtsNode]]:
     """One-step successors of a canonical process, without refl."""
-    if isinstance(e, PPrefix):
-        t = e.body
-        yield t, e.label, LtsNode(RULE_ACT, e, t, (e.label,))
+    if isinstance(e, (Atom, Seq)):
+        head = e if isinstance(e, Atom) else e.parts[0]
+        t = ONE if head is e else mk_seq(e.parts[1:])
+        yield t, head.name, LtsNode(RULE_ACT, e, t, (head.name,))
         return
-    if isinstance(e, PNu):
-        a = e.name
+    if isinstance(e, Sdq):
+        a = e.binder
         for t, act, node in _steps_raw(e.body, milner):
             if act is not TAU and act.base == a.base:
                 continue  # restricted actions cannot pass
-            succ = PNu(a, t)
+            succ = Sdq(a, t)
             lbl: ActionSeq = (act,)
             yield succ, act, LtsNode(RULE_RES_PASS, e, succ, lbl, (node,))
         return
-    if isinstance(e, PPar):
-        comps = _par_list(e)
+    if isinstance(e, Par):
+        comps = list(e.parts)
         n = len(comps)
         moves = [list(_steps_raw(c, milner)) for c in comps]
         for i in range(n):
@@ -379,19 +296,19 @@ def _steps_raw(e: Process, milner: bool) -> Iterator[tuple[Process, Action, LtsN
                     if i == j:
                         continue
                     ci, cj = comps[i], comps[j]
-                    if not (isinstance(ci, PNu) and isinstance(cj, PNu)):
+                    if not (isinstance(ci, Sdq) and isinstance(cj, Sdq)):
                         continue
-                    if ci.name.base != cj.name.base:
+                    if ci.binder != cj.binder:
                         continue  # canonical names agree when mergeable
-                    a = ci.name
-                    inner = PPar(ci.body, cj.body)
-                    for t, act, node in _steps_raw(canonical_process(inner), milner):
+                    a = ci.binder
+                    inner = Par((ci.body, cj.body))
+                    for t, act, node in _steps_raw(canonicalize(inner), milner):
                         if act is not TAU and act.base == a.base:
                             # a restricted action may only vanish by
                             # communicating inside the merged scope
                             continue
                         lbl = hide_actions((act,), a.base)
-                        merged = PNu(a, t)
+                        merged = Sdq(a, t)
                         rest = [comps[k] for k in range(n) if k not in (i, j)]
                         succ = par_of([merged] + rest)
                         top = LtsNode(RULE_RES_MERGE,
@@ -400,21 +317,21 @@ def _steps_raw(e: Process, milner: bool) -> Iterator[tuple[Process, Action, LtsN
                             top = LtsNode(RULE_CNTXP, e, succ, lbl, (top,))
                         yield succ, (TAU if lbl == SILENT else lbl[0]), top
         return
-    return  # PZero: no moves
+    return  # the unit: no moves
 
 
 def lts_steps(e: Process, milner_mode: bool = False
               ) -> list[tuple[Process, ActionSeq, LtsNode]]:
     """One-step successors up to congruence, deterministically ordered,
     including the reflexive silent step."""
-    e = canonical_process(e)
+    e = canonicalize(e)
     out: list[tuple[Process, ActionSeq, LtsNode]] = [(e, SILENT, refl_node(e))]
-    seen = {(process_key(e), print_actions(SILENT))}
+    seen = {(canonical_key(e), print_actions(SILENT))}
     found: list[tuple[str, str, Process, ActionSeq, LtsNode]] = []
     for t, act, node in _steps_raw(e, milner_mode):
-        tc = canonical_process(t)
+        tc = canonicalize(t)
         lbl: ActionSeq = actions_normalize((act,))
-        key = (process_key(tc), print_actions(lbl))
+        key = (canonical_key(tc), print_actions(lbl))
         if key in seen:
             continue
         seen.add(key)
@@ -430,9 +347,9 @@ def _bfs(e: Process, depth: int, milner_mode: bool
     sequence) pairs within ``depth`` composed steps.  Yields each pair's
     key on first reaching it, with the state, the sequence and a checking
     witness; the start state comes first."""
-    e0 = canonical_process(e)
+    e0 = canonicalize(e)
     start = (e0, SILENT, refl_node(e0))
-    key0 = (process_key(e0), print_actions(SILENT))
+    key0 = (canonical_key(e0), print_actions(SILENT))
     yield key0, start
     frontier = [start]
     seen = {key0}
@@ -441,7 +358,7 @@ def _bfs(e: Process, depth: int, milner_mode: bool
         for state, labels, node in frontier:
             for succ, lbl, step in lts_steps(state, milner_mode)[1:]:
                 seq = actions_normalize(labels + lbl)
-                key = (process_key(succ), print_actions(seq))
+                key = (canonical_key(succ), print_actions(seq))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -455,15 +372,17 @@ def _bfs(e: Process, depth: int, milner_mode: bool
             break
 
 
-def enumerate_reachable(e: Process, depth: int, milner_mode: bool = False,
-                        max_states: int = 100_000
+MAX_STATES = 100_000  # the exploration cap of ``enumerate_reachable``
+
+
+def enumerate_reachable(e: Process, depth: int, milner_mode: bool = False
                         ) -> list[tuple[Process, ActionSeq, LtsNode]]:
     """Everything reachable within ``depth`` composed steps, with the
     normalized action sequence and a checking witness for each."""
     out = []
     for _, entry in _bfs(e, depth, milner_mode):
         out.append(entry)
-        if len(out) > max_states:
+        if len(out) > MAX_STATES:
             raise ProcessError("state space exceeded the exploration cap")
     return out
 
@@ -472,7 +391,7 @@ def lts_reachable(e: Process, f: Process, alpha: ActionSeq, depth: int,
                   milner_mode: bool = False) -> Optional[LtsNode]:
     """Breadth-first reachability over congruence classes; returns a
     checking derivation tree or None."""
-    want = (process_key(f), print_actions(actions_normalize(alpha)))
+    want = (canonical_key(f), print_actions(actions_normalize(alpha)))
     for key, (_, _, witness) in _bfs(e, depth, milner_mode):
         if key == want:
             return witness
@@ -501,11 +420,11 @@ def _splits_two(items: list[Process]) -> Iterator[tuple[Process, Process]]:
 
 
 def _binder_cands(*procs: Process) -> list[str]:
-    bases = {n.base for p in procs for n in free_names(p)}
+    bases = {n.base for p in procs for n in names(p)[0]}
     for p in procs:
-        q = canonical_process(p)
-        while isinstance(q, PNu):
-            bases.add(q.name.base)
+        q = canonicalize(p)
+        while isinstance(q, Sdq):
+            bases.add(q.binder.base)
             q = q.body
     pool = sorted(bases) + [f"z{i}" for i in range(3)]
     return pool
@@ -523,7 +442,7 @@ def check_lts_detail(t: LtsNode) -> tuple[bool, str]:
     if t.rule == RULE_REFL:
         if t.children:
             return fail("must be a leaf")
-        if not process_congruent(t.source, t.target):
+        if not congruent(t.source, t.target):
             return fail("endpoints differ")
         if actions_normalize(t.label) != SILENT:
             return fail("label must be silent")
@@ -534,17 +453,17 @@ def check_lts_detail(t: LtsNode) -> tuple[bool, str]:
         l = _single_label(t.label)
         if l is None:
             return fail("label must be a single action")
-        if not process_congruent(t.source, PPrefix(l, t.target)):
+        if not congruent(t.source, prefix(l, t.target)):
             return fail("source is not the labeled prefix of the target")
         return True, "ok"
     if t.rule == RULE_TRAN:
         if len(t.children) != 2:
             return fail("needs two premises")
         a, b = t.children
-        if not process_congruent(a.target, b.source):
+        if not congruent(a.target, b.source):
             return fail("premises do not chain")
-        if not process_congruent(t.source, a.source) or \
-                not process_congruent(t.target, b.target):
+        if not congruent(t.source, a.source) or \
+                not congruent(t.target, b.target):
             return fail("endpoints do not match the premises")
         if actions_normalize(t.label) != actions_normalize(a.label + b.label):
             return fail("label is not the composition of the premise labels")
@@ -558,9 +477,9 @@ def check_lts_detail(t: LtsNode) -> tuple[bool, str]:
             return fail("premises must fire complementary actions")
         if actions_normalize(t.label) != SILENT:
             return fail("conclusion must be silent")
-        if not process_congruent(t.source, PPar(a.source, b.source)):
+        if not congruent(t.source, Par((a.source, b.source))):
             return fail("source is not the parallel of the premise sources")
-        if not process_congruent(t.target, PPar(a.target, b.target)):
+        if not congruent(t.target, Par((a.target, b.target))):
             return fail("target is not the parallel of the premise targets")
         return True, "ok"
     if t.rule == RULE_CNTXP:
@@ -569,52 +488,43 @@ def check_lts_detail(t: LtsNode) -> tuple[bool, str]:
         c = t.children[0]
         if actions_normalize(t.label) != actions_normalize(c.label):
             return fail("label must be inherited")
-        comps = _par_list(canonical_process(t.source))
-        for keep, rest in _splits_two(comps):
-            if process_congruent(keep, c.source) and \
-                    process_congruent(t.target, PPar(c.target, rest)):
+        for keep, rest in _splits_two(_components(t.source)):
+            if congruent(keep, c.source) and \
+                    congruent(t.target, Par((c.target, rest))):
                 return True, "ok"
         # degenerate framing against the inactive process
-        if process_congruent(t.source, c.source) and \
-                process_congruent(t.target, c.target):
+        if congruent(t.source, c.source) and \
+                congruent(t.target, c.target):
             return True, "ok"
         return fail("no parallel decomposition matches the premise")
-    if t.rule in (RULE_RES_PASS, RULE_RES_HIDE):
+    if t.rule == RULE_RES_PASS:
         if len(t.children) != 1:
             return fail("needs one premise")
         c = t.children[0]
         inner = actions_normalize(c.label)
         for base in _binder_cands(t.source, c.source):
             a = Name(base)
-            if not process_congruent(t.source, PNu(a, c.source)):
+            if not congruent(t.source, Sdq(a, c.source)):
                 continue
-            if not process_congruent(t.target, PNu(a, c.target)):
+            if not congruent(t.target, Sdq(a, c.target)):
                 continue
-            if t.rule == RULE_RES_PASS:
-                if any(x is not TAU and x.base == base for x in inner):
-                    continue
-                if actions_normalize(t.label) != inner:
-                    continue
-            else:
-                l = _single_label(c.label)
-                if l is None or l.base != base:
-                    continue
-                if actions_normalize(t.label) != SILENT:
-                    continue
+            if any(x is not TAU and x.base == base for x in inner):
+                continue
+            if actions_normalize(t.label) != inner:
+                continue
             return True, "ok"
         return fail("no restricted reading matches the premise")
     if t.rule == RULE_RES_MERGE:
         if len(t.children) != 1:
             return fail("needs one premise")
         c = t.children[0]
-        comps = _par_list(canonical_process(c.source))
+        comps = _components(c.source)
         for base in _binder_cands(t.source, c.source):
             a = Name(base)
-            for left, right in _splits_two(comps) if len(comps) > 1 else [(c.source, ZERO)]:
-                src = PPar(PNu(a, left), PNu(a, right))
-                if not process_congruent(t.source, src):
+            for left, right in _splits_two(comps):
+                if not congruent(t.source, Par((Sdq(a, left), Sdq(a, right)))):
                     continue
-                if not process_congruent(t.target, PNu(a, c.target)):
+                if not congruent(t.target, Sdq(a, c.target)):
                     continue
                 if actions_normalize(t.label) != hide_actions(c.label, base):
                     continue

@@ -15,7 +15,7 @@ import sys
 
 from . import calculus
 from .standardize import seq_numbers, standardize as standardize_derivation
-from .bridge import classify_structure, to_structure
+from .bridge import classify_structure
 from .calculus import (
     check_derivation_detail, derivation_from_dict, derivation_to_dict,
     format_derivation,
@@ -148,7 +148,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    s = canonicalize(to_structure(parse_process(args.process)))
+    s = canonicalize(parse_process(args.process))
     out = print_structure(s)
     _emit(args, {"structure": out}, out)
     return 0

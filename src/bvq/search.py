@@ -35,16 +35,20 @@ from .calculus import (
 )
 from .ccsr import (
     LtsNode, Process, RULE_ACT, RULE_CNTXP, RULE_COM, RULE_RES_MERGE,
-    RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, canonical_process,
-    chain_nodes, check_lts_derivation, from_structure, is_simple_process,
-    lts_to_dict, process_congruent, refl_node, tran_node, to_structure,
+    RULE_RES_PASS, SILENT, ActionSeq, actions_normalize, chain_nodes,
+    check_lts_derivation, is_simple_process, lts_to_dict, refl_node,
+    tran_node,
 )
-from .bridge import actions_to_env, classify_structure, env_to_actions
+from .bridge import (
+    BridgeError, _is_process_shape, actions_to_env, classify_structure,
+    env_to_actions,
+)
 from .standardize import is_standard
 from .structures import (
     Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, assign_ids,
-    canonical_key, canonicalize, erase_atoms, is_tensor_free, iter_atoms,
-    map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate, uid_set,
+    canonical_key, canonicalize, congruent, erase_atoms, is_tensor_free,
+    iter_atoms, map_atoms, marked_key, mk_copar, mk_par, mk_seq, negate,
+    uid_set,
 )
 
 
@@ -283,8 +287,10 @@ def reduce(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 
 def _proc_of(s: Structure) -> Process:
-    """The canonical process read from a canonical process structure."""
-    return canonical_process(from_structure(s))
+    """The canonical form of a process structure."""
+    if not _is_process_shape(s):
+        raise BridgeError("not a process structure")
+    return canonicalize(s)
 
 
 def _process_part(concl: Structure, env_ids: frozenset[int]) -> Structure:
@@ -317,15 +323,11 @@ def _fire(s: Structure, ids: frozenset[int], merge: bool = False
     ``res_merge`` of two scopes (with the firing inside, or a ``refl``
     for a merge) or else a ``com`` of two single firings.  On the way out
     each enclosing Par adds a ``cntxp`` and each enclosing restriction a
-    ``res_pass``, or a ``res_merge`` when it absorbs its own label."""
+    ``res_pass``."""
     if isinstance(s, Sdq):
         node, label, body = _fire(s.body, ids, merge)
         out = canonicalize(Sdq(s.binder, body))
         rule = RULE_RES_PASS
-        if label is not None and label.base == s.binder.base:
-            # the restriction absorbs its own action: read the source as
-            # merged with a vacuous restriction of the same name
-            rule, label = RULE_RES_MERGE, None
     elif isinstance(s, Par):
         holders = [p for p in s.parts if uid_set(p) & ids]
         rest = [p for p in s.parts if not uid_set(p) & ids]
@@ -345,7 +347,7 @@ def _fire(s: Structure, ids: frozenset[int], merge: bool = False
             else:
                 node, _, fired = _fire(body, ids)
             out = canonicalize(Sdq(scope.binder, fired))
-            node = LtsNode(RULE_RES_MERGE, _proc_of(canonicalize(mk_par(holders))),
+            node = LtsNode(RULE_RES_MERGE, _proc_of(mk_par(holders)),
                            _proc_of(out), SILENT, (node,))
         else:
             (na, la, ea), (nb, lb, eb) = (_fire(p, ids & uid_set(p)) for p in holders)
@@ -353,7 +355,7 @@ def _fire(s: Structure, ids: frozenset[int], merge: bool = False
                 raise ExtractionError("interaction pair does not expose "
                                       "complementary actions")
             out = canonicalize(mk_par([ea, eb]))
-            node = LtsNode(RULE_COM, _proc_of(canonicalize(mk_par(holders))),
+            node = LtsNode(RULE_COM, _proc_of(mk_par(holders)),
                            _proc_of(out), SILENT, (na, nb))
         if not rest:
             return node, label, out
@@ -391,9 +393,9 @@ def _trivial_tree(d: Derivation, e: Process, f: Process) -> LtsNode:
                              SILENT, node.children))
         cur = st.result
     if not nodes:
-        return refl_node(canonical_process(e), canonical_process(f))
+        return refl_node(canonicalize(e), canonicalize(f))
     tree = chain_nodes(nodes)
-    return LtsNode(tree.rule, canonical_process(e), canonical_process(f),
+    return LtsNode(tree.rule, canonicalize(e), canonicalize(f),
                    tree.label, tree.children)
 
 
@@ -420,7 +422,7 @@ def extract_lts(d: Derivation, e: Process, f: Process,
         raise ExtractionError("extraction needs a standard derivation")
     if not consumes(d, env_ids & uid_set(d.conclusion)):
         raise ExtractionError("the derivation does not consume the environment")
-    return _extract(d, canonical_process(e), canonical_process(f), env_ids)
+    return _extract(d, canonicalize(e), canonicalize(f), env_ids)
 
 
 def _extract(d: Derivation, e: Process, f: Process,
@@ -449,7 +451,7 @@ def _extract(d: Derivation, e: Process, f: Process,
                              node.children))
         fired |= pair
         proc_part = _process_part(_erase(d.conclusion, fired), env_ids)
-        if not process_congruent(_proc_of(proc_part), g):
+        if not congruent(_proc_of(proc_part), g):
             raise ExtractionError("the erased conclusion does not read as the step")
         src = g
     tree = _trivial_tree(_erase_replay(d.conclusion, d.steps, fired)
@@ -593,8 +595,8 @@ def reach(e: Process, f: Process, alpha: ActionSeq,
         raise SearchError("the target process must be simple")
     alpha = actions_normalize(alpha)
     env = actions_to_env(alpha)
-    e_struct = canonicalize(to_structure(e))
-    f_struct = canonicalize(to_structure(f))
+    e_struct = canonicalize(e)
+    f_struct = canonicalize(f)
     concl, _ = assign_ids(canonicalize(mk_par([e_struct, env])))
     env_ids = _locate_env_ids(concl, env)
     out = _search(concl, "standard", budget, f_struct, env_ids)

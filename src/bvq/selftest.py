@@ -17,11 +17,10 @@ from .calculus import (
     enumerate_instances, extend, replay, start_derivation,
 )
 from .ccsr import (
-    Name, PNu, PPar, PPrefix, Process, ZERO, enumerate_reachable,
-    is_simple_process, lts_reachable, print_actions, print_process,
-    process_key,
+    Name, Process, ZERO, enumerate_reachable, is_simple_process,
+    lts_reachable, prefix, print_actions, print_process, process_key,
 )
-from .bridge import classify_structure, to_structure
+from .bridge import classify_structure
 from .search import SearchBudget, DEFAULT_BUDGET, reach
 from .standardize import is_standard, standardize
 from .structures import (
@@ -44,13 +43,13 @@ def random_process(rng: random.Random, max_size: int = 8) -> Process:
         if kind < 0.65:
             nm = Name(rng.choice(_BASES), rng.random() < 0.6)
             body, used = go(budget - 2)
-            return PPrefix(nm, body), used + 1
+            return prefix(nm, body), used + 1
         if kind < 0.85 and budget >= 3:
             left, u1 = go(budget - 2)
             right, u2 = go(budget - 1 - u1)
-            return PPar(left, right), u1 + u2 + 1
+            return Par((left, right)), u1 + u2 + 1
         body, used = go(budget - 2)
-        return PNu(Name(rng.choice(_BASES)), body), used + 1
+        return Sdq(Name(rng.choice(_BASES)), body), used + 1
 
     p, _ = go(max_size)
     return p
@@ -227,7 +226,7 @@ def compare_with_oracle(rng: random.Random, processes: int = 500,
         if v.stopped_by != "refuted":
             return
         report.refuted += 1
-        prefixes = sum(1 for _ in iter_atoms(to_structure(e)))
+        prefixes = sum(1 for _ in iter_atoms(e))
         if lts_reachable(e, f, alpha, prefixes) is not None:
             report.refutation_failures.append(
                 f"{print_process(e)} -> {print_process(f)} "

@@ -199,12 +199,11 @@ def commute_once(d: Derivation, i: int) -> Derivation:
     return Derivation(d.conclusion, steps)
 
 
-def standardize(d: Derivation, max_rounds: Optional[int] = None) -> Derivation:
+def standardize(d: Derivation) -> Derivation:
     """Reorganize a Tensor-free derivation into a standard one with the
     same premise and conclusion."""
     _check_preconditions(d)
-    if max_rounds is None:
-        max_rounds = 16 * (len(d.steps) + 1) ** 2 + 64
+    max_rounds = 16 * (len(d.steps) + 1) ** 2 + 64
     rounds = 0
     while True:
         blocked = [i for i, n in seq_numbers(d) if n > 0]

@@ -5,7 +5,7 @@ run time."""
 import random
 import time
 
-from bvq.bridge import classify_structure, to_structure
+from bvq.bridge import classify_structure
 from bvq.calculus import AI_DOWN, AI_DOWN_LEFT, U_DOWN, Q_DOWN, check_derivation
 from bvq.ccsr import (
     check_lts_derivation, lts_reachable, parse_actions, parse_process,
@@ -148,7 +148,7 @@ def test_criterion_7_fact_suites():
     trivial_cases = 0
     for _ in range(80):
         e = random_process(rng, 8)
-        d = random_trivial_derivation(rng, canonicalize(to_structure(e)))
+        d = random_trivial_derivation(rng, canonicalize(e))
         if not classify_structure(d.premise).is_process:
             continue
         trivial_cases += 1
@@ -157,21 +157,21 @@ def test_criterion_7_fact_suites():
                 violations.append("trivial rule set")
     # (c) trivial derivations from a simple premise: merges only
     from bvq.calculus import Derivation
-    from bvq.ccsr import Name, PNu, PPar, PPrefix, PZero
+    from bvq.ccsr import ZERO, Name
+    from bvq.structures import Par, Sdq
     simple_cases = 0
     for _ in range(80):
         comps = []
         for _ in range(rng.randrange(2, 4)):
             base = rng.choice("abc")
-            leaf = PZero() if rng.random() < 0.2 else \
-                PPrefix(Name(base), PZero())
+            leaf = ZERO if rng.random() < 0.2 else parse_process(f"{base}.0")
             if rng.random() < 0.7:
-                leaf = PNu(Name(base), leaf)
+                leaf = Sdq(Name(base), leaf)
             comps.append(leaf)
         e = comps[0]
         for c in comps[1:]:
-            e = PPar(e, c)
-        d = random_trivial_derivation(rng, canonicalize(to_structure(e)),
+            e = Par((e, c))
+        d = random_trivial_derivation(rng, canonicalize(e),
                                       keep_process_premise=False)
         for k in range(1, len(d.steps) + 1):
             prefix = Derivation(d.conclusion, d.steps[:k])

@@ -4,43 +4,47 @@ import pytest
 
 from bvq.bridge import (
     BridgeError, actions_to_env, classify_structure, env_to_actions,
-    from_structure, is_trivial_derivation, to_structure,
+    is_trivial_derivation,
 )
 from bvq.calculus import Q_DOWN, U_DOWN, check_derivation
 from bvq.ccsr import (
-    SILENT, parse_actions, parse_process, print_actions, process_congruent,
+    SILENT, parse_actions, parse_process, print_actions, print_process,
 )
 from bvq.selftest import random_process, random_trivial_derivation
 from bvq.structures import (
-    ONE, Sdq, Seq, canonicalize, congruent, parse_structure, print_structure,
+    ONE, Par, Sdq, Seq, canonicalize, congruent, parse_structure, print_structure,
     strip_ids,
 )
 
 
 def test_to_structure_map():
-    assert print_structure(to_structure(parse_process("a.b.0|~a.0"))) == \
-        "[<a;<b;1>>;<~a;1>]"
-    assert to_structure(parse_process("0")) == ONE
-    s = to_structure(parse_process("nu a.(a.0|b.0)"))
+    # the process map is the parse itself
+    assert print_structure(parse_process("a.b.0|~a.0")) == "[<a;<b;1>>;<~a;1>]"
+    assert parse_process("0") == ONE
+    s = parse_process("nu a.(a.0|b.0)")
     assert isinstance(s, Sdq)
 
 
 def test_from_structure_inverse():
-    p = from_structure(canonicalize(parse_structure("[<a;b>;~a]")))
-    assert process_congruent(p, parse_process("a.b.0|~a.0"))
-    assert from_structure(ONE) == parse_process("0")
-    with pytest.raises(BridgeError):
-        from_structure(parse_structure("(a;b)"))
+    # and its inverse is the printer, on process-shaped structures
+    s = canonicalize(parse_structure("[<a;b>;~a]"))
+    assert print_process(s) == "(~a.0|a.b.0)"
+    assert congruent(parse_process(print_process(s)), parse_process("a.b.0|~a.0"))
+    assert print_process(ONE) == "0"
+    s = parse_structure("(a;b)")
+    assert not classify_structure(s).is_process
+    with pytest.raises(TypeError):
+        print_process(s)
 
 
 def test_round_trip_random_processes():
     rng = random.Random(3)
     for _ in range(60):
         e = random_process(rng, 8)
-        back = from_structure(canonicalize(to_structure(e)))
-        assert process_congruent(back, e)
-        s = canonicalize(to_structure(e))
-        assert congruent(to_structure(from_structure(s)), s)
+        assert parse_process(print_process(e)) == e
+        s = canonicalize(e)
+        assert classify_structure(s).is_process
+        assert congruent(parse_process(print_process(s)), s)
 
 
 def test_classifier_examples():
@@ -63,7 +67,7 @@ def test_simple_process_matches_simple_structure():
     from bvq.ccsr import is_simple_process
     for _ in range(80):
         e = random_process(rng, 8)
-        flag = classify_structure(canonicalize(to_structure(e))).is_simple
+        flag = classify_structure(e).is_simple
         assert flag == is_simple_process(e)
 
 
@@ -106,7 +110,7 @@ def test_env_actions_round_trip():
 def test_trivial_derivation_classification():
     d = random_trivial_derivation(
         random.Random(1),
-        canonicalize(to_structure(parse_process("nu a.(a.0|b.0)|c.0"))))
+        canonicalize(parse_process("nu a.(a.0|b.0)|c.0")))
     assert is_trivial_derivation(d)
     from bvq.search import derive
     out = derive(parse_structure("[<a;e>;<~a;f>]"), parse_structure("[e;f]"))
@@ -120,7 +124,7 @@ def test_trivial_derivations_on_process_structures_are_restricted():
     seen_q = 0
     for _ in range(120):
         e = random_process(rng, 8)
-        d = random_trivial_derivation(rng, canonicalize(to_structure(e)))
+        d = random_trivial_derivation(rng, canonicalize(e))
         if not classify_structure(d.premise).is_process:
             continue
         assert check_derivation(d)
@@ -138,17 +142,17 @@ def test_trivial_derivations_on_process_structures_are_restricted():
 
 
 def _random_simple_process(rng):
-    from bvq.ccsr import Name, PNu, PPar, PPrefix, PZero
+    from bvq.ccsr import ZERO, Name, prefix
     comps = []
     for _ in range(rng.randrange(2, 4)):
         base = rng.choice("abc")
-        leaf = PZero() if rng.random() < 0.2 else PPrefix(Name(base), PZero())
+        leaf = ZERO if rng.random() < 0.2 else prefix(Name(base), ZERO)
         if rng.random() < 0.7:
-            leaf = PNu(Name(base), leaf)  # binds the prefix it wraps
+            leaf = Sdq(Name(base), leaf)  # binds the prefix it wraps
         comps.append(leaf)
     out = comps[0]
     for c in comps[1:]:
-        out = PPar(out, c)
+        out = Par((out, c))
     return out
 
 
@@ -158,7 +162,7 @@ def test_trivial_derivations_from_simple_premise_use_only_merges():
     hits = 0
     for _ in range(120):
         e = _random_simple_process(rng)
-        d = random_trivial_derivation(rng, canonicalize(to_structure(e)),
+        d = random_trivial_derivation(rng, canonicalize(e),
                                       max_steps=4, keep_process_premise=False)
         for k in range(1, len(d.steps) + 1):
             prefix = Derivation(d.conclusion, d.steps[:k])

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from bvq.ccsr import (
-    LtsNode, PNu, PPar, PPrefix, PZero, ProcessError, RULE_ACT, RULE_COM,
-    RULE_REFL, SILENT, ZERO, actions_normalize, check_lts_derivation,
-    check_lts_detail, enumerate_reachable, hide_actions, is_simple_process,
-    lts_from_dict, lts_reachable, lts_steps, lts_to_dict, parse_actions,
-    parse_process, print_actions, print_process, process_congruent,
-    tran_node,
+    LtsNode, ProcessError, RULE_ACT, RULE_COM, RULE_REFL, RULE_RES_MERGE,
+    SILENT, ZERO, actions_normalize, check_lts_derivation, check_lts_detail,
+    enumerate_reachable, hide_actions, is_simple_process, lts_from_dict,
+    lts_reachable, lts_steps, lts_to_dict, parse_actions, parse_process,
+    prefix, print_actions, print_process, tran_node,
 )
+from bvq.structures import Atom, Name, ONE, Par, Sdq, Seq, congruent
 
 
 def proc(text):
@@ -21,21 +21,24 @@ def actions_congruent(a, b):
 
 
 def process_size(p):
-    """Prefixes, parallel compositions, restrictions and zeros in ``p``."""
-    if isinstance(p, PZero):
+    """Prefixes, parallel compositions, restrictions and zeros in the
+    process ``p`` as parsed."""
+    if p is ONE:
         return 1
-    if isinstance(p, (PPrefix, PNu)):
+    if isinstance(p, Seq):
+        return 1 + process_size(p.parts[1])
+    if isinstance(p, Sdq):
         return 1 + process_size(p.body)
-    if isinstance(p, PPar):
-        return 1 + process_size(p.left) + process_size(p.right)
+    if isinstance(p, Par):
+        return 1 + sum(process_size(q) for q in p.parts)
     raise TypeError(f"not a process: {p!r}")
 
 
 def test_parse_examples():
     p = proc("nu a.(a.b.0 | ~a.0)")
-    assert isinstance(p, PNu)
-    assert isinstance(p.body, PPar)
-    assert proc("0") == ZERO
+    assert isinstance(p, Sdq)
+    assert isinstance(p.body, Par)
+    assert proc("0") == ZERO == ONE
     with pytest.raises(ProcessError):
         proc("nu ~a.0")
     with pytest.raises(ProcessError):
@@ -49,22 +52,38 @@ def test_parse_rejects_deep_nesting_with_its_own_error():
 
 def test_parse_top_level_parallel():
     p = proc("(nu a.a.b.0)|(nu a.~a.0)")
-    assert isinstance(p, PPar)
+    assert isinstance(p, Par)
+
+
+def test_parse_builds_the_image_as_written():
+    a, b = Atom(Name("a")), Atom(Name("b", False))
+    assert proc("a.~b.0|0") == Par((Seq((a, Seq((b, ONE)))), ONE))
+    assert proc("a.0|~b.0|0") == Par((Par((prefix(a.name, ONE),
+                                           prefix(b.name, ONE))), ONE))
+    assert proc("nu a.0") == Sdq(Name("a"), ONE)
+
+
+def test_print_nests_par_to_the_left_and_ends_prefixes_in_zero():
+    for text in ["0", "a.0", "(0|a.0)", "((a.0|b.0)|~c.0)", "(a.0|(b.0|c.0))",
+                 "nu a.a.~b.(a.0|0)", "a.nu b.b.0"]:
+        assert print_process(proc(text)) == text
+    assert print_process(Par((Atom(Name("a")), ONE, Seq(tuple(
+        Atom(Name(x)) for x in "bcd"))))) == "((a.0|0)|b.c.d.0)"
 
 
 def test_print_parse_roundtrip():
     for text in ["0", "a.0", "~a.b.0", "(a.0|b.0)", "nu a.(a.0|~a.0)"]:
-        assert process_congruent(proc(print_process(proc(text))), proc(text))
+        assert congruent(proc(print_process(proc(text))), proc(text))
 
 
 def test_process_congruence():
-    assert process_congruent(proc("a.0|0"), proc("a.0"))
-    assert process_congruent(proc("nu a.a.0"), proc("nu b.b.0"))
-    assert process_congruent(proc("a.0|b.0"), proc("b.0|a.0"))
-    assert process_congruent(proc("nu a.0"), ZERO)
-    assert process_congruent(proc("nu a.nu b.(a.0|b.0)"),
+    assert congruent(proc("a.0|0"), proc("a.0"))
+    assert congruent(proc("nu a.a.0"), proc("nu b.b.0"))
+    assert congruent(proc("a.0|b.0"), proc("b.0|a.0"))
+    assert congruent(proc("nu a.0"), ZERO)
+    assert congruent(proc("nu a.nu b.(a.0|b.0)"),
                              proc("nu b.nu a.(b.0|a.0)"))
-    assert not process_congruent(proc("a.b.0"), proc("b.a.0"))
+    assert not congruent(proc("a.b.0"), proc("b.a.0"))
 
 
 def test_actions_normalize():
@@ -171,12 +190,17 @@ def test_checker_rejects_bad_nodes():
     assert not ok and "complementary" in msg
 
 
-def test_checker_accepts_solo_hide_nodes():
-    # the checker also admits the unary hiding reading of restriction,
-    # which hand-built certificates may use
+def test_checker_rejects_a_restriction_hiding_its_own_action():
+    # nu b.b.0 has no step at all: neither a unary hiding of the
+    # restriction's own action nor a merge with nothing beside it reads
+    # the firing of b.0 as one
     inner = LtsNode(RULE_ACT, proc("b.0"), ZERO, parse_actions("b"))
-    node = LtsNode("res_hide", proc("nu b.b.0"), proc("nu b.0"), SILENT, (inner,))
-    assert check_lts_derivation(node)
+    assert check_lts_derivation(inner)
+    for rule in ("res_hide", RULE_RES_MERGE):
+        node = LtsNode(rule, proc("nu b.b.0"), proc("nu b.0"), SILENT, (inner,))
+        ok, msg = check_lts_detail(node)
+        assert not ok and msg.startswith(rule + ": ")
+    assert lts_reachable(proc("nu b.b.0"), ZERO, SILENT, 4) is None
 
 
 def test_simple_processes():

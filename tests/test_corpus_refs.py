@@ -25,14 +25,14 @@ import sys
 import pytest
 
 from bvq import search
-from bvq.bridge import actions_to_env, to_structure
+from bvq.bridge import actions_to_env
 from bvq.calculus import check_derivation, derivation_from_dict
 from bvq.ccsr import (
     actions_normalize, check_lts_derivation, lts_from_dict, parse_actions,
-    parse_process, process_congruent,
+    parse_process,
 )
 from bvq.standardize import is_standard
-from bvq.structures import canonical_key, mk_par, negate
+from bvq.structures import canonical_key, congruent, mk_par, negate
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -132,13 +132,13 @@ def test_reach_verdict_and_certificates_check(op, monkeypatch):
     e, f, alpha = parse_process(e_t), parse_process(f_t), parse_actions(a_t)
     standard = derivation_from_dict(payload["standardDerivation"])
     assert check_derivation(standard) and is_standard(standard)
-    assert canonical_key(standard.premise) == canonical_key(to_structure(f))
+    assert canonical_key(standard.premise) == canonical_key(f)
     proof = derivation_from_dict(payload["proof"])
     assert check_derivation(proof) and canonical_key(proof.premise) == "1"
-    goal = mk_par([to_structure(e), negate(to_structure(f)), actions_to_env(alpha)])
+    goal = mk_par([e, negate(f), actions_to_env(alpha)])
     assert canonical_key(proof.conclusion) == canonical_key(goal)
     witness = lts_from_dict(payload["ltsWitness"])
     assert check_lts_derivation(witness)
-    assert process_congruent(witness.source, e)
-    assert process_congruent(witness.target, f)
+    assert congruent(witness.source, e)
+    assert congruent(witness.target, f)
     assert actions_normalize(witness.label) == actions_normalize(alpha)

@@ -3,8 +3,7 @@ private module-level name is read by some ``bvq`` module.
 
 There is no linter in the toolchain, so these tests catch imports and
 private helpers left behind when code is deleted.  ``__init__.py`` only
-re-exports, and ``bridge`` re-exports the process map it documents as
-living in ``ccsr``; those names are allowed.
+re-exports, so it is not checked.
 """
 
 import ast
@@ -13,7 +12,6 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bvq"
-REEXPORTS = {"bridge.py": {"to_structure", "from_structure"}}
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -70,7 +68,7 @@ def test_unused_imports_are_found():
     "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
-    assert unused_imports(source) - REEXPORTS.get(module, set()) == set()
+    assert unused_imports(source) == set()
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:

@@ -347,13 +347,12 @@ def test_preserving_right_contexts_along_trivial_derivations():
     # once blocked, always blocked (reading upward)
     rng = random.Random(13)
     from bvq.selftest import random_process
-    from bvq.bridge import to_structure
     from bvq.structures import assign_ids
     checked = 0
     for _ in range(60):
         e = random_process(rng, 8)
         base, _ = assign_ids(
-            parse_structure(print_structure(strip_ids(to_structure(e)))))
+            parse_structure(print_structure(strip_ids(e))))
         d = random_trivial_derivation(rng, base, keep_process_premise=False)
         chain = list(d.structures())
         for uid in sorted(a.uid for a in iter_atoms(base) if a.uid is not None):

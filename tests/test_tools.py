@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,14 +35,15 @@ def test_corpus_diff_of_a_tree_against_itself_reports_no_difference():
 
 
 def test_corpus_diff_runs_every_workload_of_repeated_flags():
-    # 6 prove_closure ops, 16 reach_oracle ops and 1 of the merge group:
-    # each flag adds its workload to the ones named before it
+    # 6 prove_closure ops, 16 reach_oracle ops, 1 of the merge group and
+    # 3 of the lts group: each flag adds its workload to the ones named
+    # before it
     out = _corpus_diff(ROOT, "prove_closure", "reach_oracle")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[-4] == "23 ops compared, 0 differ"
-    assert [ln.split(":")[0] for ln in lines[-3:]] == [
-        "total prove_closure", "total reach_oracle", "total merges"]
+    assert lines[-5] == "26 ops compared, 0 differ"
+    assert [ln.split(":")[0] for ln in lines[-4:]] == [
+        "total prove_closure", "total reach_oracle", "total merges", "total lts"]
 
 
 def test_every_judgment_of_the_merge_group_is_proved_by_a_merge(capsys):
@@ -58,7 +60,8 @@ def test_every_judgment_of_the_merge_group_is_proved_by_a_merge(capsys):
 
 def test_corpus_diff_compares_merge_witnesses_no_corpus_op_holds(tmp_path):
     # the copy prints the rule res_merge under another name: of every
-    # 100th reach corpus op and merge judgment, only the merge differs
+    # 100th reach corpus op, merge judgment and lts op, only the merge
+    # differs (lts op 200 is a merge judgment the oracle does not reach)
     _copy_src(tmp_path)
     ccsr = tmp_path / "src" / "bvq" / "ccsr.py"
     text = ccsr.read_text()
@@ -70,8 +73,8 @@ def test_corpus_diff_compares_merge_witnesses_no_corpus_op_holds(tmp_path):
     lines = out.stdout.splitlines()
     assert lines[0].startswith("merges 0: digest ")
     assert lines[0].endswith("; output fields ltsWitness")
-    assert lines[1:-2] == ["field ltsWitness differs in 1 ops",
-                           "17 ops compared, 1 differ"]
+    assert lines[1:-3] == ["field ltsWitness differs in 1 ops",
+                           "20 ops compared, 1 differ"]
 
 
 def test_corpus_diff_names_the_ops_whose_certificate_changed(tmp_path):
@@ -141,7 +144,9 @@ def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
         sys.path.pop(0)
     groups = {w: corpus.load(w)["ops"] for w in ("prove_closure", "reach_oracle")}
     groups["merges"] = _tool(CORPUS_DIFF).merge_group()[1]
-    for (w, group), total in zip(groups.items(), lines[-3:]):
+    # the lts group runs no search
+    assert lines[-1] == "total lts: steps 0 (here) vs 0; visited 0 (here) vs 0"
+    for (w, group), total in zip(groups.items(), lines[-4:-1]):
         stats = [json.loads(ops.execute(op).out)["stats"] for op in group[::100]]
         steps = sum(s["steps"] for s in stats)
         visited = sum(s["visited"] for s in stats)
@@ -149,6 +154,51 @@ def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
         assert moved > 0
         assert total == (f"total {w}: steps {steps} (here) vs {steps + moved}; "
                          f"visited {visited} (here) vs {visited}")
+
+
+def test_lts_group_prints_the_oracles_steps_witnesses_and_translations(capsys):
+    from bvq.cli import main
+
+    name, group = _tool(CORPUS_DIFF).lts_group()
+    assert name == "lts" and len(group) == 248
+    verbs = [(op["argv"][0], len(op["argv"]), op["argv"][-1] == "--milner")
+             for op in group]
+    assert verbs == ([("lts", 3, False), ("lts", 4, True)] * 40
+                     + [("compile", 3, False)] * 40
+                     + [("lts", 5, False), ("lts", 6, True)] * 64)
+    rules = set()
+    for op in group:
+        rc = main(op["argv"])
+        payload = json.loads(capsys.readouterr().out)
+        if op["argv"][0] == "lts" and len(op["argv"]) > 4:
+            assert rc in (0, 1) and payload["reachable"] == (rc == 0)
+            if rc == 0:
+                rules |= set(re.findall(r'"rule": "(\w+)"',
+                                        json.dumps(payload["witness"])))
+        else:
+            assert rc == 0, op["argv"]
+    # without --milner, every drawn pair is reachable
+    assert all(main(op["argv"]) == 0 for op in group[120:200:2])
+    assert rules == {"act", "com", "cntxp", "res_pass", "res_merge", "refl",
+                     "tran"}
+
+
+def test_corpus_diff_compares_the_oracles_printed_steps(tmp_path):
+    # the copy names the successors of ``bvq lts E`` otherwise: of every
+    # 100th reach corpus op, merge judgment and lts op, only lts op 0
+    # differs
+    _copy_src(tmp_path)
+    cli = tmp_path / "src" / "bvq" / "cli.py"
+    text = cli.read_text()
+    line = 'payload = [{"to": print_process(t), "label": print_actions(l)}'
+    assert text.count(line) == 1
+    cli.write_text(text.replace(line, line.replace('"to"', '"target"')))
+    out = _corpus_diff(str(tmp_path), "reach_oracle")
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("lts 0: digest ")
+    assert lines[1:-3] == ["field steps differs in 1 ops",
+                           "20 ops compared, 1 differ"]
 
 
 def _tool(path):

@@ -22,7 +22,10 @@ steps), and ``random_proofs``, a fixed sweep of 1,000 (five draws from
 and handed to both trees.  With ``reach_oracle``, the group ``merges``
 is run through ``bvq reach`` as well: 24 judgments whose witnesses merge
 sibling restrictions of one name (``merge_group``), which no corpus
-witness does.
+witness does.  So is the group ``lts``, which runs the transition-system
+oracle and the process translation (``bvq lts`` and ``bvq compile``),
+whose printed steps and witnesses no corpus operation prints
+(``lts_group``).
 
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
@@ -83,6 +86,33 @@ def merge_group() -> tuple[str, list[dict]]:
                  for e, f, alpha in meets for ctx in contexts for p, q in bodies]
     return "merges", [{"id": k, "argv": ["reach", e, f, alpha, "--json"]}
                       for k, (e, f, alpha) in enumerate(judgments)]
+
+
+def lts_group() -> tuple[str, list[dict]]:
+    """The group ``lts``: 40 processes drawn by ``random_process`` (at
+    most 16 symbols) from ``random.Random(2323)`` with this checkout's
+    ``bvq``, each run through ``bvq lts E``, ``bvq compile E`` and ``bvq
+    lts E F alpha`` on the last pair the oracle reaches within three
+    steps; then ``bvq lts E F alpha`` on each judgment of ``merges``.
+    Every ``lts`` operation runs with and without ``--milner``."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from bvq.ccsr import enumerate_reachable, print_actions, print_process
+    from bvq.selftest import random_process
+
+    rng = random.Random(2323)
+    steps, compiles, pairs = [], [], []
+    for _ in range(40):
+        e = random_process(rng, 16)
+        f, alpha, _ = enumerate_reachable(e, 3)[-1]
+        et = print_process(e)
+        steps.append(["lts", et])
+        compiles.append(["compile", et])
+        pairs.append(["lts", et, print_process(f), print_actions(alpha)])
+    pairs += [["lts", *op["argv"][1:4]] for op in merge_group()[1]]
+    argvs = [a + ["--json"] + m for a in steps for m in ([], ["--milner"])]
+    argvs += [a + ["--json"] for a in compiles]
+    argvs += [a + ["--json"] + m for a in pairs for m in ([], ["--milner"])]
+    return "lts", [{"id": k, "argv": argv} for k, argv in enumerate(argvs)]
 
 
 def run_ops(workloads: list[str], every: int,
@@ -159,7 +189,7 @@ def main(argv=None) -> int:
     if not args.against:
         ap.error("--against is required")
     trees = (ROOT, args.against)
-    extra = [merge_group()] if "reach_oracle" in args.workload else []
+    extra = [merge_group(), lts_group()] if "reach_oracle" in args.workload else []
     if "standardize_battery" in args.workload:
         extra += random_proof_groups()
     with tempfile.TemporaryFile("w+") as a, tempfile.TemporaryFile("w+") as b:
