@@ -7,8 +7,8 @@ from .structures import (
     print_structure, size,
 )
 from .calculus import (
-    Derivation, RuleInstance, Step, check_derivation, derivation_length,
-    enumerate_instances, is_right_context,
+    Derivation, RuleInstance, Step, check_derivation, enumerate_instances,
+    is_right_context,
 )
 from .standardize import (
     commute_once, is_standard, seq_number, standardize,
@@ -20,7 +20,6 @@ from .ccsr import (
 )
 from .bridge import (
     StructureKinds, actions_to_env, classify_structure, env_to_actions,
-    is_trivial_derivation,
 )
 from .search import (
     ReachVerdict, SearchBudget, consumes, derive, extract_lts, prove, reach,

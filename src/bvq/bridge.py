@@ -17,15 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (
-    AI_DOWN, AI_DOWN_LEFT, Derivation, DerivationError, check_derivation,
-)
 from .ccsr import (
     TAU, Action, ActionSeq, SILENT, actions_normalize, is_simple_process,
 )
 from .structures import (
-    Atom, CoPar, Name, ONE, One, Par, Sdq, Seq, Structure, canonicalize,
-    is_tensor_free, mk_seq, names,
+    Atom, Name, ONE, One, Par, Sdq, Seq, Structure, canonicalize,
+    is_tensor_free, mk_seq,
 )
 
 
@@ -42,7 +39,6 @@ class StructureKinds:
     is_process: bool
     is_environment: bool
     is_simple: bool
-    is_invertible: bool
     is_tensor_free: bool
 
     def as_dict(self) -> dict:
@@ -50,7 +46,6 @@ class StructureKinds:
             "isProcess": self.is_process,
             "isEnvironment": self.is_environment,
             "isSimple": self.is_simple,
-            "isInvertible": self.is_invertible,
             "isTensorFree": self.is_tensor_free,
         }
 
@@ -79,31 +74,12 @@ def _is_env_shape(s: Structure) -> bool:
     return False
 
 
-def _no_complement_pair(s: Structure) -> bool:
-    free, bound = names(s)
-    occurring = {n for n in free | bound}
-    return not any(n.complement() in occurring for n in occurring)
-
-
-def _is_invertible_shape(s: Structure) -> bool:
-    if isinstance(s, (One, Atom)):
-        return True
-    if isinstance(s, Par):
-        return all(isinstance(p, Atom) for p in s.parts) and _no_complement_pair(s)
-    if isinstance(s, CoPar):
-        return all(_is_invertible_shape(p) for p in s.parts)
-    if isinstance(s, Sdq):
-        return _is_invertible_shape(s.body)
-    return False
-
-
 def classify_structure(s: Structure) -> StructureKinds:
     c = canonicalize(s)
     return StructureKinds(
         is_process=_is_process_shape(c),
         is_environment=isinstance(c, One) or _is_env_shape(c),
         is_simple=is_simple_process(c),
-        is_invertible=_is_invertible_shape(c),
         is_tensor_free=is_tensor_free(c),
     )
 
@@ -149,15 +125,3 @@ def actions_to_env(alpha: ActionSeq) -> Structure:
         raise BridgeError("normalize the action sequence first")
     return canonicalize(mk_seq([Atom(a.complement()) for a in norm]))
 
-
-# ---------------------------------------------------------------------------
-# trivial derivations
-# ---------------------------------------------------------------------------
-
-def is_trivial_derivation(d: Derivation) -> bool:
-    """Tensor-free and free of atomic interactions: no communication."""
-    if not check_derivation(d):
-        raise DerivationError("invalid derivation")
-    if any(st.rule in (AI_DOWN, AI_DOWN_LEFT) for st in d.steps):
-        return False
-    return all(is_tensor_free(s) for s in d.structures())

@@ -113,10 +113,6 @@ class Derivation:
         return [st.rule for st in self.steps]
 
 
-def derivation_length(d: Derivation) -> int:
-    return len(d.steps)
-
-
 def start_derivation(s: Structure) -> Derivation:
     s, _ = assign_ids(canonicalize(s))
     return Derivation(s)
@@ -420,11 +416,6 @@ def apply_instance(s: Structure, inst: RuleInstance) -> Structure:
     out = canonicalize(_rewrite(s, inst))
     object.__setattr__(inst, "_applied", (s, out))
     return out
-
-
-def extend(d: Derivation, inst: RuleInstance) -> Derivation:
-    result = apply_instance(d.premise, inst)
-    return Derivation(d.conclusion, d.steps + (Step(inst, result),))
 
 
 # a recipe entry: (rule, canonical key of its premise, occurrence ids of

@@ -289,7 +289,11 @@ def _steps_raw(e: Process, milner: bool) -> Iterator[tuple[Process, Action, LtsN
                             continue
                         succ = par_of([t1 if k == i else t2 if k == j else comps[k]
                                        for k in range(n)])
-                        yield succ, TAU, LtsNode(RULE_COM, e, succ, SILENT, (n1, n2))
+                        top = LtsNode(RULE_COM, par_of([comps[i], comps[j]]),
+                                      par_of([t1, t2]), SILENT, (n1, n2))
+                        if n > 2:
+                            top = LtsNode(RULE_CNTXP, e, succ, SILENT, (top,))
+                        yield succ, TAU, top
         if not milner:
             for i in range(n):
                 for j in range(n):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import calculus
@@ -36,19 +35,8 @@ PROG = "bvq"
 
 
 def _budget(args) -> SearchBudget:
-    visited = args.budget
-    if visited is None:
-        env = os.environ.get("BVQ_BUDGET")
-        visited = DEFAULT_BUDGET.max_visited
-        if env:
-            try:
-                visited = int(env)
-            except ValueError:
-                visited = 0
-            if visited <= 0:
-                raise ValueError(
-                    f"BVQ_BUDGET must be a positive integer, got {env!r}")
-    return SearchBudget(max_steps=max(4 * visited, 1), max_visited=visited)
+    return SearchBudget(max_steps=max(4 * args.budget, 1),
+                        max_visited=args.budget)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -204,7 +192,7 @@ def cmd_lts(args) -> int:
         _emit(args, {"steps": payload}, text)
         return 0
     if args.actions is None:
-        raise SystemExit2("lts reachability needs both a target and actions")
+        raise ValueError("lts reachability needs both a target and actions")
     f = parse_process(args.target)
     alpha = parse_actions(args.actions)
     witness = lts_reachable(e, f, alpha, args.depth, milner_mode=args.milner)
@@ -222,10 +210,6 @@ def cmd_selftest(args) -> int:
                               depth=args.depth, proofs=args.proofs)
     print(report)
     return 0 if ok else 1
-
-
-class SystemExit2(Exception):
-    pass
 
 
 def _count(text: str) -> int:
@@ -250,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="visited-state budget (default from BVQ_BUDGET)")
+            p.add_argument("--budget", type=int,
+                           default=DEFAULT_BUDGET.max_visited,
+                           help="visited-state budget")
         if fragment:
             p.add_argument("--fragment", choices=("down", "standard"),
                            default="down")
@@ -350,7 +335,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError, SystemExit2) as e:
+    except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"{PROG}: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -1,10 +1,10 @@
 """Seeded random generators and the oracle-comparison harness.
 
 Everything here is deterministic given the seed.  The generators produce
-random processes, random Tensor-free proofs (built by forward rule
-application from the unit premise), and random trivial derivations over
-process structures; the harness cross-checks the proof-search pipeline
-against the brute-force transition-system oracle in both directions.
+random processes and random Tensor-free proofs (built by forward rule
+application from the unit premise); the harness cross-checks the
+proof-search pipeline against the brute-force transition-system oracle
+in both directions.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 from .calculus import (
     AI_DOWN, Derivation, Q_DOWN, RecipeEntry, U_DOWN, check_derivation,
-    enumerate_instances, extend, replay, start_derivation,
+    replay, start_derivation,
 )
 from .ccsr import (
     Name, Process, ZERO, enumerate_reachable, is_simple_process,
     lts_reachable, prefix, print_actions, print_process, process_key,
 )
-from .bridge import classify_structure
 from .search import SearchBudget, DEFAULT_BUDGET, reach
 from .standardize import is_standard, standardize
 from .structures import (
@@ -164,26 +163,6 @@ def random_proof(rng: random.Random, max_atoms: int = 12,
     if d is None:
         raise AssertionError("recorded moves stopped replaying")
     assert canonical_key(d.premise) == "1"
-    return d
-
-
-# ---------------------------------------------------------------------------
-# random trivial derivations over process structures
-# ---------------------------------------------------------------------------
-
-def random_trivial_derivation(rng: random.Random, start: Structure,
-                              max_steps: int = 5,
-                              keep_process_premise: bool = True) -> Derivation:
-    """Random bottom-up quantifier/Seq moves from ``start``; when asked,
-    only moves that keep the premise a process structure are taken."""
-    d = start_derivation(start)
-    for _ in range(max_steps):
-        pairs = list(enumerate_instances(d.premise, frozenset({Q_DOWN, U_DOWN})))
-        if keep_process_premise:
-            pairs = [p for p in pairs if classify_structure(p[1]).is_process]
-        if not pairs:
-            break
-        d = extend(d, rng.choice(pairs)[0])
     return d
 
 

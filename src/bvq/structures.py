@@ -93,10 +93,6 @@ class StructureError(ValueError):
 _TOO_DEEP = "input nests too deeply"
 
 
-def atom(base: str, positive: bool = True, uid: Optional[int] = None) -> Atom:
-    return Atom(Name(base, positive), uid)
-
-
 def _build(cls, parts) -> Structure:
     """A ``cls`` node of ``parts`` with same-type children flattened into
     it (units stay); the unit when nothing is left, the part when one is."""

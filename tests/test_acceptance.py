@@ -12,14 +12,14 @@ from bvq.ccsr import (
     print_actions,
 )
 from bvq.search import reach, prove, reduce
-from bvq.selftest import (
-    compare_with_oracle, random_proof, random_trivial_derivation,
-)
+from bvq.selftest import compare_with_oracle, random_proof
 from bvq.standardize import is_standard, standardize
 from bvq.structures import (
     canonical_key, canonicalize, congruent, parse_structure, print_structure,
     size,
 )
+
+from helpers import random_trivial_derivation
 
 
 def _report(name, ok, detail=""):

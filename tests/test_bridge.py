@@ -4,17 +4,18 @@ import pytest
 
 from bvq.bridge import (
     BridgeError, actions_to_env, classify_structure, env_to_actions,
-    is_trivial_derivation,
 )
 from bvq.calculus import Q_DOWN, U_DOWN, check_derivation
 from bvq.ccsr import (
     SILENT, parse_actions, parse_process, print_actions, print_process,
 )
-from bvq.selftest import random_process, random_trivial_derivation
+from bvq.selftest import random_process
 from bvq.structures import (
     ONE, Par, Sdq, Seq, canonicalize, congruent, parse_structure, print_structure,
     strip_ids,
 )
+
+from helpers import random_trivial_derivation
 
 
 def test_to_structure_map():
@@ -53,7 +54,7 @@ def test_classifier_examples():
     k = classify_structure(parse_structure("[a;~b]"))
     assert k.is_simple and k.is_process and k.is_tensor_free
     k = classify_structure(parse_structure("(~a;b)"))
-    assert k.is_invertible and not k.is_tensor_free
+    assert not k.is_tensor_free
     # a unit inside disqualifies an environment candidate once enforced
     # non-canonically; the canonical form here is a plain list again
     k = classify_structure(parse_structure("[a; fo b.[fo d.[a;~c];b]; a]"))
@@ -105,17 +106,6 @@ def test_env_actions_round_trip():
         assert print_actions(got) == print_actions(
             __import__("bvq.ccsr", fromlist=["actions_normalize"])
             .actions_normalize(alpha))
-
-
-def test_trivial_derivation_classification():
-    d = random_trivial_derivation(
-        random.Random(1),
-        canonicalize(parse_process("nu a.(a.0|b.0)|c.0")))
-    assert is_trivial_derivation(d)
-    from bvq.search import derive
-    out = derive(parse_structure("[<a;e>;<~a;f>]"), parse_structure("[e;f]"))
-    assert out.found
-    assert not is_trivial_derivation(out.derivation)
 
 
 def test_trivial_derivations_on_process_structures_are_restricted():

@@ -9,14 +9,15 @@ from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, DOWN_FRAGMENT, Derivation, DerivationError, Q_DOWN,
     RuleInstance, Step, SWITCH, U_DOWN, apply_instance,
     breadth_first, pairable, check_derivation, check_derivation_detail, derivation_from_dict,
-    derivation_length, derivation_to_dict, enumerate_instances, extend,
-    replay, start_derivation,
+    derivation_to_dict, enumerate_instances, replay, start_derivation,
 )
 from bvq.structures import (
     Atom, CoPar, Name, ONE, Par, Sdq, Seq, assign_ids, canonical_key,
     canonicalize, free_bases, iter_atoms, mk_par, mk_seq, negate,
     parse_structure, print_structure, size, uid_set,
 )
+
+from helpers import extend
 
 
 def structure(text):
@@ -73,7 +74,7 @@ def _internal_comm_derivation():
 def test_check_derivation_internal_communication():
     d = _internal_comm_derivation()
     assert check_derivation(d)
-    assert derivation_length(d) == 2
+    assert len(d.steps) == 2
     assert canonical_key(d.premise) == canonical_key(parse_structure("[e;f]"))
 
 
@@ -100,7 +101,7 @@ def test_trivial_derivation_checks():
     inst = find_instance(d.premise, U_DOWN, "fo a.[<a;b>;~a]")
     d = extend(d, inst)
     assert check_derivation(d)
-    assert derivation_length(d) == 2 - 1
+    assert len(d.steps) == 2 - 1
 
 
 def test_instance_size_accounting():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from bvq.ccsr import (
     LtsNode, ProcessError, RULE_ACT, RULE_COM, RULE_REFL, RULE_RES_MERGE,
     SILENT, ZERO, actions_normalize, check_lts_derivation, check_lts_detail,
     enumerate_reachable, hide_actions, is_simple_process, lts_from_dict,
-    lts_reachable, lts_steps, lts_to_dict, parse_actions, parse_process,
-    prefix, print_actions, print_process, tran_node,
+    lts_reachable, lts_steps, lts_to_dict, par_of, parse_actions,
+    parse_process, prefix, print_actions, print_process, tran_node,
 )
 from bvq.structures import Atom, Name, ONE, Par, Sdq, Seq, congruent
 
@@ -177,6 +178,31 @@ def test_every_step_witness_checks():
         e = random_process(rng, 8)
         for _, _, node in lts_steps(e):
             assert check_lts_derivation(node)
+
+
+def test_a_communication_beside_other_components_is_framed(capsys, tmp_path):
+    # com joins the two communicating components only; cntxp frames the
+    # third around it
+    from bvq.cli import main
+    assert main(["lts", "e.0|~e.0|~a.0", "~a.0", "tau", "--json"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert [witness["rule"], witness["children"][0]["rule"]] == ["cntxp", "com"]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    assert main(["check", "--lts", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
+def test_oracle_witnesses_in_wide_parallels_check():
+    # Pars of three or four small processes: every witness within two
+    # steps, with and without Milner's restriction
+    from bvq.selftest import random_process
+    rng = random.Random(11)
+    for _ in range(80):
+        e = par_of([random_process(rng, 5) for _ in range(rng.randint(3, 4))])
+        for milner in (False, True):
+            for _, _, w in enumerate_reachable(e, 2, milner_mode=milner):
+                assert check_lts_detail(w) == (True, "ok"), print_process(e)
 
 
 def test_checker_rejects_bad_nodes():

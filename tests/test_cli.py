@@ -128,8 +128,14 @@ def test_byte_identical_output(capsys):
 
 
 def test_classify_and_compile(capsys):
+    code, out, _ = run(capsys, "classify", "[a;~b]")
+    assert code == 0
+    assert out == ("isEnvironment=false isProcess=true isSimple=true "
+                   "isTensorFree=true\n")
     code, out, _ = run(capsys, "classify", "[a;~b]", "--json")
-    assert code == 0 and json.loads(out)["isSimple"] is True
+    assert code == 0 and out == (
+        '{\n  "isEnvironment": false,\n  "isProcess": true,\n'
+        '  "isSimple": true,\n  "isTensorFree": true\n}\n')
     code, out, _ = run(capsys, "compile", "nu a.(a.b.0|~a.0)")
     assert code == 0 and out.strip() == "fo a.[~a;<a;b>]"
 
@@ -146,18 +152,22 @@ def test_standardize_verb(capsys, tmp_path):
         n == 0 for _, n in result["afterSeqNumbers"])
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("BVQ_BUDGET", "3")
-    code, out, _ = run(capsys, "prove", "[<a;b>;<~b;~a>]", "--json")
+def test_budget_flag(capsys):
+    code, out, _ = run(capsys, "prove", "[<a;b>;<~b;~a>]", "--json",
+                       "--budget", "3")
     assert code == 1 and json.loads(out)["exhausted"] is True
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
-def test_bad_budget_env_var_is_named(capsys, monkeypatch, value):
-    monkeypatch.setenv("BVQ_BUDGET", value)
-    code, out, err = run(capsys, "prove", "[a;~a]")
+def test_zero_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "prove", "[a;~a]", "--budget", "0")
     assert code == 2 and out == ""
-    assert err == f"bvq: BVQ_BUDGET must be a positive integer, got {value!r}\n"
+    assert err == "bvq: budget bounds must be positive\n"
+
+
+def test_lts_target_without_actions_is_usage_error(capsys):
+    code, out, err = run(capsys, "lts", "a.0", "0")
+    assert code == 2 and out == ""
+    assert err == "bvq: lts reachability needs both a target and actions\n"
 
 
 def test_selftest_verb(capsys):

@@ -11,7 +11,7 @@ from bvq import calculus, search, structures
 from bvq.bridge import actions_to_env, classify_structure
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Derivation, apply_instance, check_derivation,
-    derivation_length, format_derivation, start_derivation,
+    format_derivation, start_derivation,
 )
 from bvq.ccsr import (
     ZERO, check_lts_derivation, lts_reachable, lts_to_dict, parse_actions,
@@ -31,7 +31,7 @@ from bvq.structures import (
 
 def test_prove_examples():
     out = prove(parse_structure("[a;~a]"))
-    assert out.found and derivation_length(out.derivation) == 1
+    assert out.found and len(out.derivation.steps) == 1
     out = prove(parse_structure("[<a;b>;<~a;~b>]"))
     assert out.found and check_derivation(out.derivation)
     out = prove(parse_structure("[<a;b>;<~b;~a>]"))
@@ -305,7 +305,7 @@ def test_derive_examples():
     out = derive(concl, parse_structure("[r;t]"))
     assert out.found and check_derivation(out.derivation)
     out0 = derive(parse_structure("[a;b]"), parse_structure("[b;a]"))
-    assert out0.found and derivation_length(out0.derivation) == 0
+    assert out0.found and len(out0.derivation.steps) == 0
     out1 = derive(parse_structure("[a;b]"), parse_structure("1"))
     assert not out1.found and not out1.exhausted
 
@@ -347,7 +347,7 @@ def test_reduce_tracing_example():
     assert classify_structure(red.conclusion).is_process
     assert classify_structure(red.premise).is_process
     # one interaction was erased together with its preparatory move
-    assert derivation_length(red) < derivation_length(d)
+    assert len(red.steps) < len(d.steps)
     if any(st.rule in (AI_DOWN, AI_DOWN_LEFT) for st in red.steps):
         assert is_standard(red)
 
@@ -540,7 +540,7 @@ def test_reach_examples():
               parse_actions("b"))
     assert v.proved
     v = reach(parse_process("0"), parse_process("0"), parse_actions("tau"))
-    assert v.proved and derivation_length(v.standard) == 0
+    assert v.proved and len(v.standard.steps) == 0
     assert v.witness.rule == "refl"
     v = reach(parse_process("a.0"), parse_process("0"), parse_actions("b"))
     assert not v.proved and not v.exhausted
@@ -648,7 +648,7 @@ def test_reach_agrees_with_oracle_spot_checks():
             assert v.proved, (print_process(e), print_process(f),
                               print_actions(alpha))
             confirm = lts_reachable(e, f, alpha,
-                                    2 * derivation_length(v.standard) + 4)
+                                    2 * len(v.standard.steps) + 4)
             assert confirm is not None
             checked += 1
     assert checked > 20

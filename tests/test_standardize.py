@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvq.calculus import (
     AI_DOWN, AI_DOWN_LEFT, Q_DOWN, U_DOWN, Step, breadth_first,
-    check_derivation, derivation_from_dict, enumerate_instances, extend,
+    check_derivation, derivation_from_dict, enumerate_instances,
     apply_instance, is_right_context, replay, start_derivation,
 )
 from bvq.standardize import (
@@ -21,7 +21,9 @@ from bvq.structures import (
     print_structure, strip_ids, uid_set,
 )
 from bvq.search import derive
-from bvq.selftest import random_proof, random_trivial_derivation
+from bvq.selftest import random_proof
+
+from helpers import extend, random_trivial_derivation
 
 # the package's ``standardize`` function hides the module of that name
 standardize_module = sys.modules["bvq.standardize"]

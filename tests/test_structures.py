@@ -4,11 +4,13 @@ import pytest
 
 from bvq.calculus import _par_nodes
 from bvq.structures import (
-    Atom, Name, ONE, Par, Sdq, Seq, StructureError, assign_ids, atom,
+    Atom, Name, ONE, Par, Sdq, Seq, StructureError, assign_ids,
     canonical_key, canonicalize, congruent, erase_atoms, is_tensor_free,
     iter_atom_paths, iter_atoms, map_atoms, marked_key, names, negate,
     parse_structure, print_structure, replace_at, size, strip_ids, uid_set,
 )
+
+from helpers import atom
 
 
 def canon(text):

@@ -157,15 +157,16 @@ def test_corpus_diff_ends_with_each_workloads_search_totals(tmp_path):
 
 
 def test_lts_group_prints_the_oracles_steps_witnesses_and_translations(capsys):
+    from bvq.ccsr import check_lts_derivation, lts_from_dict
     from bvq.cli import main
 
     name, group = _tool(CORPUS_DIFF).lts_group()
-    assert name == "lts" and len(group) == 248
+    assert name == "lts" and len(group) == 268
     verbs = [(op["argv"][0], len(op["argv"]), op["argv"][-1] == "--milner")
              for op in group]
     assert verbs == ([("lts", 3, False), ("lts", 4, True)] * 40
                      + [("compile", 3, False)] * 40
-                     + [("lts", 5, False), ("lts", 6, True)] * 64)
+                     + [("lts", 5, False), ("lts", 6, True)] * 74)
     rules = set()
     for op in group:
         rc = main(op["argv"])
@@ -179,6 +180,15 @@ def test_lts_group_prints_the_oracles_steps_witnesses_and_translations(capsys):
             assert rc == 0, op["argv"]
     # without --milner, every drawn pair is reachable
     assert all(main(op["argv"]) == 0 for op in group[120:200:2])
+    capsys.readouterr()
+    # the last ten judgments are reached, in either mode, by a checking
+    # witness that frames a communication beside other components
+    for op in group[248:]:
+        assert main(op["argv"]) == 0, op["argv"]
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert check_lts_derivation(lts_from_dict(witness)), op["argv"]
+        assert re.search(r'"rule": "com"}\], "judgment": {[^}]*}, "rule": "cntxp"',
+                         json.dumps(witness, sort_keys=True)), op["argv"]
     assert rules == {"act", "com", "cntxp", "res_pass", "res_merge", "refl",
                      "tran"}
 

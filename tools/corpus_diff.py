@@ -25,7 +25,8 @@ sibling restrictions of one name (``merge_group``), which no corpus
 witness does.  So is the group ``lts``, which runs the transition-system
 oracle and the process translation (``bvq lts`` and ``bvq compile``),
 whose printed steps and witnesses no corpus operation prints
-(``lts_group``).
+(``lts_group``), communications beside a third parallel component
+included.
 
     python3 tools/corpus_diff.py --against ../parent
     python3 tools/corpus_diff.py --against ../parent --workload reach_oracle --every 4
@@ -93,8 +94,10 @@ def lts_group() -> tuple[str, list[dict]]:
     most 16 symbols) from ``random.Random(2323)`` with this checkout's
     ``bvq``, each run through ``bvq lts E``, ``bvq compile E`` and ``bvq
     lts E F alpha`` on the last pair the oracle reaches within three
-    steps; then ``bvq lts E F alpha`` on each judgment of ``merges``.
-    Every ``lts`` operation runs with and without ``--milner``."""
+    steps; then ``bvq lts E F alpha`` on each judgment of ``merges`` and
+    on ten judgments that fire a communication beside a third parallel
+    component, which no draw does.  Every ``lts`` operation runs with and
+    without ``--milner``."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from bvq.ccsr import enumerate_reachable, print_actions, print_process
     from bvq.selftest import random_process
@@ -109,6 +112,17 @@ def lts_group() -> tuple[str, list[dict]]:
         compiles.append(["compile", et])
         pairs.append(["lts", et, print_process(f), print_actions(alpha)])
     pairs += [["lts", *op["argv"][1:4]] for op in merge_group()[1]]
+    pairs += [["lts", e, f, alpha] for e, f, alpha in (
+        ("e.0|~e.0|~a.0", "~a.0", "tau"),
+        ("a.0|b.0|~a.0", "b.0", "tau"),
+        ("a.b.0|~a.0|~b.0", "0", "tau"),
+        ("a.b.0|~a.0|~b.0|c.0", "c.0", "tau"),
+        ("a.0|~a.0|b.0|~b.0", "0", "tau"),
+        ("a.0|~a.b.0|c.0", "c.0", "b"),
+        ("x.a.0|~a.0|y.0", "y.0", "x"),
+        ("c.(a.0|~a.0|b.0)", "b.0", "c"),
+        ("nu a.(a.0|~a.0|b.0)", "nu a.b.0", "tau"),
+        ("nu b.(a.0|b.0)|~a.0|c.0", "nu b.b.0|c.0", "tau"))]
     argvs = [a + ["--json"] + m for a in steps for m in ([], ["--milner"])]
     argvs += [a + ["--json"] for a in compiles]
     argvs += [a + ["--json"] + m for a in pairs for m in ([], ["--milner"])]
